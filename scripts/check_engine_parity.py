@@ -15,10 +15,10 @@ Usage::
     check_engine_parity.py --dump-state-source sobel [-o OUT.py]
 
 The first form exits non-zero with a diagnostic when the contract is
-violated.  The second dumps the codegen tier's generated step-function
-source for one state of the named benchmark (obfuscated with the
-``full`` preset) — uploaded as a CI artifact so a parity failure in
-the generated tier can be debugged from the run page.
+violated.  The second dumps the generated chain function holding the
+entry state of the named benchmark (obfuscated with the ``full``
+preset) — uploaded as a CI artifact so a parity failure in the
+generated engine can be debugged from the run page.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def compare_documents(documents: dict[str, dict]) -> list[str]:
 
 
 def dump_state_source(benchmark: str, output: Path | None) -> int:
-    """Write the generated step-function source for one FSM state.
+    """Write the generated chain function holding one FSM state's code.
 
     Picks the entry state of the ``full``-preset obfuscation of
     ``benchmark`` — deterministic, so consecutive CI runs produce
@@ -81,7 +81,7 @@ def dump_state_source(benchmark: str, output: Path | None) -> int:
     plan = codegen_for(component.design)
     state_idx = plan.layout.entry_idx
     text = (
-        f"# codegen step function: benchmark={benchmark} "
+        f"# codegen chain function: benchmark={benchmark} "
         f"state={plan.layout.state_names[state_idx]}\n"
         f"{plan.state_source(state_idx)}\n"
     )
@@ -98,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("documents", nargs="*", type=Path,
                         help="two or more same-spec campaign JSON files")
     parser.add_argument("--dump-state-source", metavar="BENCHMARK",
-                        help="dump one state's generated codegen source "
-                        "instead of comparing documents")
+                        help="dump the generated codegen function holding "
+                        "one state instead of comparing documents")
     parser.add_argument("-o", "--output", type=Path, default=None,
                         help="file for --dump-state-source (default stdout)")
     args = parser.parse_args(argv)

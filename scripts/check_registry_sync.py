@@ -44,7 +44,7 @@ TABLE_OWNERS = {
     "KEY_SCHEMES": "runtime/campaign.py",
     "CONFIG_PIPELINES": "runtime/campaign.py",
     "PIPELINE_PRESETS": "tao/pipeline.py",
-    "ENGINES": "sim/compiled.py",
+    "ENGINES": "sim/engine.py",
 }
 
 

@@ -2,7 +2,7 @@
 
 Deep submodule paths (``repro.runtime.campaign``,
 ``repro.runtime.executor``, ``repro.tao.pipeline``,
-``repro.sim.compiled``) are internal layout and may move between
+``repro.sim.engine``) are internal layout and may move between
 releases; this module is the supported import surface:
 
 .. code-block:: python
@@ -46,7 +46,7 @@ _EXPORTS = {
     "ExecutionOptions": "repro.runtime.executor",
     "execute_plan": "repro.runtime.executor",
     "resolve_pipeline": "repro.tao.pipeline",
-    "resolve_engine": "repro.sim.compiled",
+    "resolve_engine": "repro.sim.engine",
     "attack_names": "repro.attack",
     "run_attack": "repro.attack",
     "validate_attack_result": "repro.attack",

@@ -60,11 +60,11 @@ def random_key_attack(
 ) -> RandomKeyAttackResult:
     """Guess random locking keys; count how many unlock the design.
 
-    ``engine`` selects the FSMD engine for every probe (compiled
+    ``engine`` selects the FSMD engine for every probe (codegen
     default); attack outcomes are engine-independent.  All guesses are
     drawn up front (preserving the scalar loop's RNG stream) and each
     workload probes them as one key batch, so the codegen engine binds
-    and sweeps the whole guess set per workload.
+    the whole guess set once per workload.
     """
     from repro.tao.key import LockingKey
 

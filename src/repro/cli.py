@@ -32,9 +32,10 @@ under the in-process ones so golden runs and compilations are shared
 across worker processes and across invocations; ``--cache-clear``
 empties it first and ``--cache-stats`` reports the per-tier split.
 ``--engine`` (or ``$REPRO_SIM_ENGINE``) selects the FSMD simulation
-engine: ``compiled`` (default — designs are lowered once and key
-trials reuse the plan) or ``interp`` (the reference interpreter);
-campaign JSON is byte-identical either way.  ``--checkpoint-dir``
+engine: ``codegen`` (default — Python source is generated once per
+design and every key trial runs it), ``compiled`` (closure plans) or
+``interp`` (the reference interpreter); campaign JSON is
+byte-identical whichever runs.  ``--checkpoint-dir``
 persists one atomic record per completed unit and ``--resume`` skips
 those units on a re-run (byte-identical final JSON);
 ``--unit-timeout`` / ``--max-retries`` bound hung or crashing units,
@@ -571,35 +572,32 @@ def build_parser() -> argparse.ArgumentParser:
             "                    content-addressed cache shared across\n"
             "                    processes and runs\n"
             "  REPRO_SIM_ENGINE  default --engine\n"
-            "                    (compiled | interp | codegen)\n"
+            "                    (codegen | compiled | interp)\n"
             "  REPRO_KEY_BATCH_LANES\n"
             "                    default --key-batch-lanes (keys per\n"
             "                    simulation batch; throughput only,\n"
             "                    never results)\n"
             "\n"
             "simulation engines (--engine / REPRO_SIM_ENGINE):\n"
-            "  The execution stack is a three-tier seam (repro.sim):\n"
+            "  Three engines sit behind one seam (repro.sim.engine).\n"
             "  'interp' is the reference interpreter, kept as the oracle\n"
-            "  for differential tests.  'compiled' (default) lowers each\n"
-            "  FSMD design once into a slot-indexed closure plan\n"
-            "  (repro.sim.compiled): operand readers, opcode dispatch,\n"
-            "  per-state op lists and controller transitions are resolved\n"
-            "  at compile time, and the plan is specialized per key by a\n"
-            "  cheap bind_key step — one compilation serves every key\n"
-            "  trial of a campaign.  'codegen' (repro.sim.codegen) goes\n"
-            "  one tier further: it exec()-generates straight-line Python\n"
-            "  for the whole FSM and vectorizes registers/memories into\n"
-            "  lane-indexed storage, so a single bind_keys(keys) call\n"
-            "  specializes the plan for a whole key batch and the\n"
-            "  generated sweep retires lanes independently (campaign\n"
-            "  workers receive key batches, not single keys, on this\n"
-            "  path).  Determinism contract: all three engines produce\n"
-            "  field-identical simulation results, so campaign JSON is\n"
-            "  byte-identical regardless of engine or batch layout (the\n"
-            "  engine, like --jobs, never enters the serialized spec);\n"
-            "  CI gates on scripts/check_engine_parity.py across all\n"
-            "  three tiers and scripts/bench_sim.py tracks the\n"
-            "  throughput gaps.\n"
+            "  for differential tests.  'codegen' (default,\n"
+            "  repro.sim.codegen) generates Python source once per FSMD\n"
+            "  design: each chain of consecutive states becomes one\n"
+            "  function over a per-key register list, compiled in small\n"
+            "  units, and a cheap bind_keys(keys) step fills the\n"
+            "  key-dependent values for a whole key batch — one build\n"
+            "  serves every key trial of a campaign.  'compiled'\n"
+            "  (repro.sim.compiled) lowers each design once into a\n"
+            "  slot-indexed closure plan, specialized per key by a cheap\n"
+            "  bind_key step.  Determinism contract: all three engines\n"
+            "  produce field-identical simulation results, so campaign\n"
+            "  JSON is byte-identical regardless of engine or batch\n"
+            "  layout (the engine, like --jobs, never enters the\n"
+            "  serialized spec); CI gates on\n"
+            "  scripts/check_engine_parity.py across all three engines\n"
+            "  and scripts/bench_sim.py tracks build and steady-state\n"
+            "  time per engine.\n"
             "\n"
             "pipelines (--pipeline, repeatable -> fifth sweep axis):\n"
             "  The obfuscation flow is a pipeline of registered stages\n"
@@ -768,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         help="FSMD simulation engine (default: $REPRO_SIM_ENGINE, else "
-        "compiled; see 'repro list engine'); results are "
+        "codegen; see 'repro list engine'); results are "
         "engine-independent — see the epilog",
     )
     campaign.add_argument("-o", "--output", type=Path, default=None)

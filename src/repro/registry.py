@@ -83,7 +83,7 @@ _BUILTIN_SOURCES: dict[str, tuple[str, ...]] = {
     "config": ("repro.runtime.campaign",),
     "key-scheme": ("repro.tao.keymgmt",),
     "budget": ("repro.runtime.campaign",),
-    "engine": ("repro.sim.compiled",),
+    "engine": ("repro.sim.engine",),
     "attack": ("repro.attack",),
 }
 

@@ -490,8 +490,15 @@ class GoldenCache:
         design: "FsmdDesign",
         bench: "Testbench",
         observed: Sequence[str],
+        lanes: int = 1,
     ) -> tuple["ExecutionResult", list[int]]:
-        """Golden execution + output bit vector, computed at most once."""
+        """Golden execution + output bit vector, computed at most once.
+
+        ``lanes`` counts the lookup as that many trials sharing one
+        workload: the key is hashed once, and the counters read as if
+        each trial had looked the entry up on its own (the first lookup
+        as a hit, L2 hit or miss, every further one as an L1 hit).
+        """
         module = design.module
         func_name = design.func.name
         key = (
@@ -513,6 +520,7 @@ class GoldenCache:
             while len(self._entries) >= max(1, self.max_entries):
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = entry
+        self.stats.hits += lanes - 1
         golden, bits = entry
         return _copy_execution_result(golden), list(bits)
 

@@ -310,14 +310,14 @@ class CampaignSpec:
     :data:`PIPELINE_FROM_PARAMS` sentinel (default) meaning "stages
     from the config's parameter booleans".  ``jobs`` and ``engine``
     are execution knobs only: they are deliberately excluded from the
-    serialized spec so parallel-vs-serial and compiled-vs-interpreted
+    serialized spec so parallel-vs-serial and generated-vs-interpreted
     runs emit identical JSON.  ``engine`` selects the FSMD simulation
-    engine for every trial (``"compiled"`` / ``"codegen"`` /
+    engine for every trial (``"codegen"`` / ``"compiled"`` /
     ``"interp"``; ``None`` defers to ``$REPRO_SIM_ENGINE``, default
-    compiled) — see :mod:`repro.sim.compiled` for the determinism
+    codegen) — see :mod:`repro.sim.engine` for the determinism
     contract.  Trials flow through the batched key-trial path either
     way (:func:`key_batches` chunks, one simulated lane per key); only
-    the codegen engine actually vectorizes a batch.
+    the codegen engine binds a whole batch at once.
 
     ``extra_configs`` is normalized on construction (entries and their
     override items are sorted), so a spec rebuilt from ``to_dict()``

@@ -635,7 +635,7 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
         configure_disk_cache,
     )
     from repro.runtime.results import SCHEMA, CampaignResult, CampaignUnit
-    from repro.sim.compiled import resolve_engine
+    from repro.sim.engine import resolve_engine
     from repro.tao.metrics import resolve_key_batch_lanes
 
     if options is None:

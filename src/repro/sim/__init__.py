@@ -1,19 +1,18 @@
-"""Simulation: golden IR interpreter, the three-tier cycle-accurate
-FSMD engine stack (``interp`` reference interpreter, ``compiled``
-closure plans, ``codegen`` generated + key-batched source) and the
-testbench harness.  :func:`resolve_engine` picks the FSMD engine:
-explicit argument > ``$REPRO_SIM_ENGINE`` > ``"compiled"``; batched
+"""Simulation: golden IR interpreter, the three cycle-accurate FSMD
+engines (``interp`` reference interpreter, ``compiled`` closure plans,
+``codegen`` generated source, the default) and the testbench harness.
+:func:`resolve_engine` picks the FSMD engine: explicit argument >
+``$REPRO_SIM_ENGINE`` > ``"codegen"``; batched
 trials enter through :func:`simulate_batch` /
 :func:`run_testbench_batch`."""
 
 from repro.sim.codegen import CodegenDesign, codegen_for
-from repro.sim.compiled import (
+from repro.sim.compiled import CompiledDesign, compiled_for
+from repro.sim.engine import (
     DEFAULT_ENGINE,
     ENGINE_ENV,
     ENGINES,
-    CompiledDesign,
     EngineDriver,
-    compiled_for,
     engine_driver,
     resolve_engine,
 )

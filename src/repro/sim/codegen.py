@@ -1,88 +1,92 @@
-"""Codegen FSMD execution tier: exec()-generated, key-batched step code.
+"""Generated FSMD execution engine: exec()-compiled Python per design.
 
-The compiled tier (:mod:`repro.sim.compiled`) removed per-cycle
-*resolution* but still pays per-op *dispatch*: every operation is a
-closure call, every operand read another, and every register write a
-tuple append — a dozen Python-level calls per cycle for states whose
-work is three integer adds.  This module is the third tier of the
-engine architecture and removes that too:
+The reference interpreter (:class:`repro.sim.fsmd_sim.FsmdSimulator`)
+re-resolves everything per cycle: operand kinds, register bindings,
+cstep filtering, variant selection and opcode dispatch.  A §4.3
+validation campaign pays that once per cycle per key, mostly on wrong
+keys that spin to the cycle cap.  This module generates Python source
+for a design once and ``compile()``\\ s it, so a cycle is straight-line
+code over a per-lane register list:
 
-* **Straight-line code generation.**  For every FSM state one Python
-  step function is generated as source text and ``exec()``-compiled
-  once per design: operand reads, opcode arithmetic (wrap masks folded
-  in as literals), ROM decodes, DFG-variant dispatch and the
-  controller transition are all inlined into the function body.  A
-  cycle in one state is a single Python call, not a closure per op.
+* **Chains.**  States are partitioned into *chains* — maximal runs in
+  which every state but the head has its chain predecessor as its only
+  inbound edge (see :meth:`CodegenDesign._build_chains`).  Each chain
+  becomes one generated function that executes its states as
+  consecutive cycles and returns ``(next_state, cycles)`` when control
+  leaves it; a jump back to its own head is a ``continue`` of the
+  function's loop, so a loop body spins without leaving the function.
+  A per-lane driver dispatches on the returned state through a
+  state-indexed function list.
 
-* **Key-batched lanes.**  The register file and the memories are
-  vectorized into lane-indexed storage (``regs[slot][lane]``,
-  ``mems[mem][lane]``), and every key-dependent quantity — decoded
+* **Storage.**  A lane's registers live in one list ``R`` (slot-indexed;
+  one extra slot holds the return value), its memories in ``M`` and
+  its key material in ``K``: every key-dependent quantity — decoded
   obfuscated constants, ROM masks, branch key bits, variant selectors
-  — becomes a per-lane array filled by one swept
-  :meth:`CodegenDesign.bind_keys`.  One pass through the FSM advances
-  *all* live lanes, and lanes retire independently — a lane leaves the
-  batch the cycle it returns, reaches a done state, or its transition
-  falls off the FSM, and lanes still live when the budget expires time
-  out exactly like a scalar run (``completed=False``,
-  ``cycles == max_cycles``).
+  — gets one slot, filled per lane by :meth:`CodegenDesign.bind_keys`.
+  Wrap masks, memory sizes and folded constants are literals.
 
-Two generated drivers share the per-state code:
+* **Budget checks.**  Every generated cycle first checks the cycle
+  budget and then counts itself, so a lane times out at exactly the
+  cycle the interpreter would.
 
-* the **lockstep driver** (traced runs) buckets live lanes by current
-  state each cycle and calls each state's step function on its bucket
-  — the straightforward rendering of the architecture, and the one
-  whose per-state sources CI dumps as a debuggability artifact;
-* the **sweep driver** (untraced runs, the hot path) chains
-  consecutive ``SEQ`` states into straight-line multi-cycle runs,
-  hoists the lane's registers, memories and key material into Python
-  locals, and retires each lane inside generated code — the per-cycle
-  driver overhead (bucketing, list indexing, one call per state)
-  disappears entirely, which is what the wrong-key workloads need:
-  corrupted lanes diverge in control flow, so cycle-lockstep buckets
-  degenerate to singletons while the sweep never pays for divergence.
+* **Small compile units.**  ``compile()``'s peak memory grows with the
+  size of the source it is given, so chain functions are split at
+  :data:`UNIT_SOURCE_CAP` characters and packed into compile units no
+  larger than that; each unit is compiled on its own.
 
-The batch lifecycle is: ``codegen_for(design)`` (generate once per
-process) → ``bind_keys(keys)`` (cheap, per batch; called by
-``run_batch``) → one FSM sweep → per-lane
-:class:`~repro.sim.fsmd_sim.SimulationResult`\\ s.  The scalar
-:meth:`CodegenDesign.run` is a batch of one lane, so
-``simulate(..., engine="codegen")`` obeys the same determinism
-contract as the other engines: field-identical results to the
-reference interpreter on every benchmark, preset pipeline and key
-class (asserted differentially in ``tests/test_sim_compiled.py`` and
-``tests/test_sim_codegen.py``, and gated in CI by
-``scripts/check_engine_parity.py``).
+* **Render once.**  Temporaries are local to one cycle, so a state's
+  rendered body does not depend on where it is emitted: it is rendered
+  once per plan — for a DFG-variant state once per distinct arm, with
+  the arms then grouped by identical text — and reused wherever the
+  state's cycle appears.
 
-Debuggability: the full generated module source is kept on
-:attr:`CodegenDesign.source` and per-state excerpts are available via
-:meth:`CodegenDesign.state_source` — CI dumps one state's step
-function as an artifact next to the parity gate.
+The engine records no state trace; a caller that wants one runs the
+reference interpreter with ``trace=True``.  The batch lifecycle is:
+:func:`codegen_for` (build once per process) →
+:meth:`~CodegenDesign.bind_keys` (per batch; called by
+:meth:`~CodegenDesign.run_batch`) → one driver loop per lane → per-lane
+:class:`~repro.sim.fsmd_sim.SimulationResult`\\ s, field-identical to
+the interpreter's (asserted differentially in
+``tests/test_sim_compiled.py`` and ``tests/test_sim_codegen.py``, and
+gated in CI by ``scripts/check_engine_parity.py``).
 
-Like the compiled plan, instances hold code objects and are
-deliberately not picklable; worker processes generate their own via
-:func:`codegen_for` (a :class:`repro.sim.layout.PlanCache`).
+Instances hold code objects and are deliberately not picklable; worker
+processes build their own via :func:`codegen_for` (a
+:class:`repro.sim.layout.PlanCache`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from repro.hls.design import FsmdDesign
 from repro.ir.instructions import Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
-from repro.sim.compiled import _arith_fn, _op_fields
 from repro.sim.fsmd_sim import (
     SimulationError,
     SimulationResult,
     zero_size_memory_error,
 )
-from repro.sim.layout import COND, SEQ, DesignLayout, PlanCache, wrap_fn
+from repro.sim.layout import (
+    COND,
+    SEQ,
+    DesignLayout,
+    PlanCache,
+    arith_fn,
+    op_fields,
+    wrap_fn,
+)
 
-#: Retirement marker written into the per-lane state array by the
-#: lockstep step functions: the lane completed this cycle (returned,
-#: hit a done state, or transitioned off the FSM).
-RETIRED = -1
+#: Largest generated source, in characters, handed to one ``compile()``
+#: call.  Peak memory of ``compile()`` scales with the unit, not the
+#: design, so this bounds the build's memory high-water mark.
+UNIT_SOURCE_CAP = 24_000
+
+#: Driver return codes: the lane completed (returned, reached a done
+#: state or left the FSM), or its cycle budget ran out first.
+DONE = -1
+TIMEOUT = -2
 
 _CMP_OPS = {
     Opcode.EQ: "==",
@@ -103,56 +107,47 @@ def _wrap_expr(expr: str, type_: IntType) -> str:
     return f"(((({expr}) + {sign}) & {mask}) - {sign})"
 
 
-class _Emitter:
-    """Emits straight-line source for one state's datapath ops.
+def _indent(lines: list[str], prefix: str = "    ") -> list[str]:
+    return [prefix + line for line in lines]
 
-    Two addressing modes share the op lowering: *lane mode* (the
-    lockstep step functions — storage accessed as ``row[lane]``) and
-    *scalar mode* (the sweep — the lane's values live in hoisted
-    locals like ``_v3``/``_kc0``).  Tracks which register slots,
-    memories and key arrays the emitted code touches so the enclosing
-    function can hoist exactly those, and allocates temporaries for
-    the two-phase (read-then-commit) clock-edge semantics.
+
+class _Emitter:
+    """Lowers one cycle's op list to source lines.
+
+    Temporaries are numbered from 1 per cycle, so the rendering of an
+    op list is independent of where it is emitted.  Records which
+    memories the code touches so the enclosing function can alias
+    exactly those.
     """
 
-    def __init__(self, plan: "CodegenDesign", scalar: bool) -> None:
+    def __init__(self, plan: "CodegenDesign") -> None:
         self.plan = plan
-        self.scalar = scalar
-        self.used_regs: set[int] = set()
-        self.used_mems: set[int] = set()
-        self.used_keys: set[str] = set()
+        self.mems: set[int] = set()
         self._tmp = 0
 
     def temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
         return f"{prefix}{self._tmp}"
 
-    def _key_ref(self, array_name: str) -> str:
-        """A per-lane read of one key array, in the current mode."""
-        self.used_keys.add(array_name)
-        if self.scalar:
-            return "_" + array_name.lower()  # hoisted local, e.g. _kc0
-        return f"{array_name}[lane]"
+    def _slot(self, value: Value) -> int:
+        register = self.plan.design.binding.register_of.get(value)
+        if register is None:
+            raise SimulationError(f"value {value} has no bound register")
+        return self.plan.layout.reg_slots[register.name]
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
     def operand(self, value: Value) -> str:
-        plan = self.plan
         if isinstance(value, ObfuscatedConstant):
-            return self._key_ref(plan._kconst_name(value))
+            return self.plan.key_ref(("kc", value), value.decode)
         if isinstance(value, Constant):
             return repr(value.value)
-        register = plan.design.binding.register_of.get(value)
-        if register is None:
-            raise SimulationError(f"value {value} has no bound register")
-        slot = plan.layout.reg_slots[register.name]
-        self.used_regs.add(slot)
+        slot = self._slot(value)
         assert isinstance(value.type, IntType)
-        base = f"_v{slot}" if self.scalar else f"_r{slot}[lane]"
-        if plan.layout.elidable_read(slot, value.type):
-            return base
-        return _wrap_expr(base, value.type)
+        if self.plan.layout.elidable_read(slot, value.type):
+            return f"R[{slot}]"
+        return _wrap_expr(f"R[{slot}]", value.type)
 
     def arith(self, opcode: Opcode, operands: list[Value], result_type: IntType) -> str:
         """Inline arithmetic for one datapath op (wrap folded in)."""
@@ -197,85 +192,80 @@ class _Emitter:
             return wrap(a)
         if opcode in (Opcode.DIV, Opcode.REM):
             # Division totality (the |0 quotient, sign conventions) is
-            # easier to keep bit-identical by reusing the compiled
-            # tier's closure than by inlining the conditionals.
-            helper = self.plan._helper_name(opcode, types, result_type)
+            # easier to keep bit-identical by calling arith_fn's closure
+            # than by inlining the conditionals.
+            helper = self.plan.helper_name(opcode, types, result_type)
             return f"{helper}({a}, {b})"
         raise SimulationError(f"cannot evaluate opcode {opcode}")
 
+    def _index(self, mem_idx: int, index: str) -> str:
+        """A memory index reduced modulo the (baked-in) memory size."""
+        self.mems.add(mem_idx)
+        size = self.plan.layout.memory_sizes[mem_idx]
+        if size & (size - 1) == 0:
+            return f"({index}) & {size - 1}"  # == % size for every int
+        return f"({index}) % {size}"
+
+    def _zero_guard(self, mem_idx: int, array_name: str) -> list[str]:
+        if self.plan.layout.memory_sizes[mem_idx]:
+            return []
+        return [f"raise _zero({array_name!r})"]
+
     def _read_slots(self, operands: Sequence[Value]) -> set[int]:
-        """Register slots an op's read phase touches (for direct-assign)."""
-        slots: set[int] = set()
-        register_of = self.plan.design.binding.register_of
-        for value in operands:
-            if isinstance(value, (Constant, ObfuscatedConstant)):
-                continue
-            register = register_of.get(value)
-            if register is not None:
-                slots.add(self.plan.layout.reg_slots[register.name])
-        return slots
+        """Register slots an op's read phase touches (for direct writes)."""
+        return {
+            self._slot(value)
+            for value in operands
+            if not isinstance(value, (Constant, ObfuscatedConstant))
+            and self.plan.design.binding.register_of.get(value) is not None
+        }
 
     # ------------------------------------------------------------------
-    # One op list -> (read-phase lines, commit lines, ret temp or None)
+    # One op list -> (lines, ret temp or None)
     # ------------------------------------------------------------------
-    def body(self, ops: Sequence) -> tuple[list[str], list[str], Optional[str]]:
+    def body(self, ops: Sequence) -> tuple[list[str], Optional[str]]:
         plan = self.plan
+        self._tmp = 0
         reads: list[str] = []
-        reg_commits: list[tuple[int, str]] = []
+        reg_commits: list[str] = []
         mem_commits: list[str] = []
-        mem_aliases: set[int] = set()
         ret_temp: Optional[str] = None
-        # Intra-cycle writes are never read back (the two-phase clock
-        # edge: every read sees pre-cycle values), so of multiple
-        # writes to one slot only the last is live — earlier ones keep
-        # their read phase (a dead LOAD must still raise on a
-        # zero-size memory) but drop their commit.  Scalar mode
-        # additionally writes the slot's local directly when no later
-        # op reads it this cycle, skipping the temp; transitions read
-        # post-commit values, so they never force a temp.
+        # The two-phase clock edge: every read sees pre-cycle values, so
+        # of multiple writes to one slot only the last is live — earlier
+        # ones keep their read phase (a dead LOAD must still raise on a
+        # zero-size memory) but drop their commit.  A live write goes
+        # straight into R when no later op reads the slot this cycle,
+        # and through a temporary otherwise; transitions read
+        # post-commit values, so they never force a temporary.
         future_reads: list[set[int]] = [set() for _ in ops]
         last_write: dict[int, int] = {}
         register_of = plan.design.binding.register_of
         pending: set[int] = set()
         for position in range(len(ops) - 1, -1, -1):
             future_reads[position] = set(pending)
-            opcode, result, operands, _ = _op_fields(ops[position])
+            opcode, result, operands, _ = op_fields(ops[position])
             pending |= self._read_slots(operands)
             if (
                 result is not None
                 and opcode not in (Opcode.JUMP, Opcode.BRANCH, Opcode.RET)
                 and register_of.get(result) is not None
             ):
-                slot = plan.layout.reg_slots[register_of[result].name]
-                last_write.setdefault(slot, position)
-
-        def mem_alias(mem_idx: int) -> str:
-            self.used_mems.add(mem_idx)
-            alias = f"_a{mem_idx}"
-            if not self.scalar and mem_idx not in mem_aliases:
-                # Scalar mode hoists the lane's memory once per lane;
-                # lane mode aliases it once per step call.
-                mem_aliases.add(mem_idx)
-                reads.append(f"{alias} = _M{mem_idx}[lane]")
-            return alias
+                last_write.setdefault(self._slot(result), position)
 
         def commit_result(position: int, slot: int, expression: str) -> None:
-            """Route one register write: dead / direct local / temp."""
-            self.used_regs.add(slot)
+            """Route one register write: dead / direct / through a temp."""
             if last_write.get(slot) != position:
-                # Dead write (a later op overwrites the slot): keep the
-                # read phase for its side effects, drop the commit.
                 reads.append(f"{self.temp()} = {expression}")
                 return
-            if self.scalar and slot not in future_reads[position]:
-                reads.append(f"_v{slot} = {expression}")
+            if slot not in future_reads[position]:
+                reads.append(f"R[{slot}] = {expression}")
                 return
             temp = self.temp()
             reads.append(f"{temp} = {expression}")
-            reg_commits.append((slot, temp))
+            reg_commits.append(f"R[{slot}] = {temp}")
 
         for position, op in enumerate(ops):
-            opcode, result, operands, array_name = _op_fields(op)
+            opcode, result, operands, array_name = op_fields(op)
             if opcode in (Opcode.JUMP, Opcode.BRANCH):
                 continue  # handled by the generated transition
             if opcode is Opcode.RET:
@@ -288,25 +278,28 @@ class _Emitter:
             if opcode is Opcode.LOAD:
                 assert array_name is not None and result is not None
                 mem_idx = plan.layout.mem_slots[array_name]
-                alias = mem_alias(mem_idx)
-                reads.append(f"if not _z{mem_idx}: raise _zero({array_name!r})")
-                index = self.operand(operands[0])
-                slot, result_type = plan._result_slot(result)
-                raw = f"{alias}[({index}) % _z{mem_idx}]"
+                reads.extend(self._zero_guard(mem_idx, array_name))
+                index = self._index(mem_idx, self.operand(operands[0]))
+                raw = f"_a{mem_idx}[{index}]"
                 rom = plan.design.obfuscated_roms.get(array_name)
                 if rom is not None:
                     element_type = plan.design.func.arrays[array_name].element_type
                     element_mask = (1 << element_type.width) - 1
-                    mask_ref = self._key_ref(plan._rom_name(array_name, element_type))
+                    mask_ref = plan.key_ref(
+                        ("rom", array_name),
+                        lambda key, rom=rom, et=element_type: rom.mask_for(et, key),
+                    )
                     raw = _wrap_expr(
                         f"({raw} & {element_mask}) ^ {mask_ref}", element_type
                     )
-                commit_result(position, slot, _wrap_expr(raw, result_type))
+                assert isinstance(result.type, IntType)
+                commit_result(
+                    position, self._slot(result), _wrap_expr(raw, result.type)
+                )
                 continue
             if opcode is Opcode.STORE:
                 assert array_name is not None
                 mem_idx = plan.layout.mem_slots[array_name]
-                alias = mem_alias(mem_idx)
                 element_type = plan.design.func.arrays[array_name].element_type
                 index_temp = self.temp("_ti")
                 value_temp = self.temp("_tv")
@@ -315,132 +308,103 @@ class _Emitter:
                     f"{value_temp} = "
                     f"{_wrap_expr(self.operand(operands[1]), element_type)}"
                 )
-                mem_commits.append(f"if not _z{mem_idx}: raise _zero({array_name!r})")
-                mem_commits.append(f"{alias}[{index_temp} % _z{mem_idx}] = {value_temp}")
+                mem_commits.extend(self._zero_guard(mem_idx, array_name))
+                mem_commits.append(
+                    f"_a{mem_idx}[{self._index(mem_idx, index_temp)}] = {value_temp}"
+                )
                 continue
             # Datapath op or MOV.
-            assert result is not None
-            slot, result_type = plan._result_slot(result)
+            assert result is not None and isinstance(result.type, IntType)
             if all(isinstance(v, Constant) for v in operands):
                 # Fully-constant op: fold at generation time.
-                operand_types = [v.type for v in operands]
-                fn = _arith_fn(opcode, operand_types, result_type)
+                fn = arith_fn(opcode, [v.type for v in operands], result.type)
                 if fn is None:
                     raise SimulationError(f"cannot evaluate opcode {opcode}")
                 expression = repr(fn(*[v.value for v in operands]))
             else:
-                expression = self.arith(opcode, operands, result_type)
-            commit_result(position, slot, expression)
+                expression = self.arith(opcode, operands, result.type)
+            commit_result(position, self._slot(result), expression)
 
-        if self.scalar:
-            commits = [f"_v{slot} = {temp}" for slot, temp in reg_commits]
-        else:
-            commits = [f"_r{slot}[lane] = {temp}" for slot, temp in reg_commits]
-        commits.extend(mem_commits)
-        return reads, commits, ret_temp
+        return reads + reg_commits + mem_commits, ret_temp
 
 
 class CodegenDesign:
-    """One FSMD design lowered into generated, lane-batched step code.
+    """One FSMD design lowered into generated chain functions.
 
-    Generate once (the constructor execs the step functions and sweep
-    drivers), then :meth:`run_batch` any number of key batches;
-    :meth:`bind_keys` fills the per-lane key arrays and is called
-    automatically.  :meth:`run` is the scalar view — a batch of one
-    lane.
+    Build once (the constructor generates and compiles the code), then
+    :meth:`run_batch` any number of key batches; :meth:`bind_keys`
+    fills the per-lane key material and is called automatically.
+    :meth:`run` is the scalar view — a batch of one lane.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
         self.design = design
         layout = self.layout = DesignLayout(design)
-        # Key-dependent per-lane arrays (filled by bind_keys) and the
-        # namespace the generated module executes in.
         self._namespace: dict[str, object] = {"_zero": zero_size_memory_error}
-        self._kconst_binds: list[tuple[ObfuscatedConstant, list[int]]] = []
-        self._kconst_names: dict[ObfuscatedConstant, str] = {}
-        self._rom_binds: list[tuple] = []
-        self._rom_names: dict[str, str] = {}
-        self._kb_binds: list[tuple[int, list[int]]] = []
-        self._kb_names: dict[int, str] = {}
-        self._sel_binds: list[tuple] = []
-        self._sel_names: dict[str, str] = {}
+        # Key material: one K slot per key-dependent quantity.
+        self._key_slots: dict[Hashable, int] = {}
+        self._key_fns: list[Callable[[int], int]] = []
         self._helpers: dict[tuple, str] = {}
         self._bound_keys: Optional[tuple[int, ...]] = None
-        # Variant dispatch: state idx -> (selector array name, tables).
+        self._lane_keys: list[list[int]] = []
+        #: Op-list renderings performed (the render-once regression
+        #: test bounds this by states x selectors).
+        self.body_renders = 0
         self._variant_states: dict[int, tuple[str, dict[int, list]]] = {}
         for variants, tables in layout.variant_tables:
-            sel_name = self._sel_name(variants)
+            valid = frozenset(variants.variants)
+
+            def select(key: int, variants=variants, valid=valid) -> int:
+                selector = variants.selector(key)
+                if selector not in valid:
+                    # An out-of-table selector fails the whole bind.
+                    raise KeyError(selector)
+                return selector
+
+            sel_ref = self.key_ref(("sel", variants.block_name), select)
             for idx, per_selector in tables:
-                self._variant_states[idx] = (sel_name, per_selector)
-        # Generate and exec the step-function module.
-        self._state_sources: list[str] = [
-            self._emit_state(idx) for idx in range(len(layout.states))
-        ]
-        sweep_source = self._emit_sweep()
-        self.source = (
-            f"# Generated by repro.sim.codegen for design {design.name!r}.\n"
-            f"# One step function per FSM state (`lanes` holds the live\n"
-            f"# lanes currently in that state) plus the per-lane `_sweep`\n"
-            f"# drivers; storage is lane-indexed (regs[slot][lane],\n"
-            f"# mems[mem][lane]) and the per-lane key arrays\n"
-            f"# (_KC*/_RM*/_KB*/_SEL*) are bound by CodegenDesign.bind_keys.\n\n"
-            + "\n\n".join(self._state_sources)
-            + "\n\n"
-            + sweep_source
-            + "\n"
-        )
-        code = compile(self.source, f"<codegen:{design.name}>", "exec")
-        exec(code, self._namespace)
-        self._step_fns = [
-            self._namespace[f"_s{idx}"] for idx in range(len(layout.states))
-        ]
-        self._sweep = self._namespace["_sweep"]
+                self._variant_states[idx] = (sel_ref, per_selector)
+        self._cycles: dict[int, tuple[list, set[int]]] = {}
+        # Generate, split and compile the chain functions.
+        # Generated source of each chain function, keyed by its head,
+        # and the head of the function that holds each state.
+        self.function_sources: dict[int, str] = {}
+        self._head_of_state: dict[int, int] = {}
+        for chain in self._build_chains():
+            for segment, source in self._split(chain):
+                self.function_sources[segment[0]] = source
+                for state_idx in segment:
+                    self._head_of_state[state_idx] = segment[0]
+        self.unit_sources: list[str] = []
+        unit: list[str] = []
+        size = 0
+        for source in self.function_sources.values():
+            if unit and size + len(source) > UNIT_SOURCE_CAP:
+                self._compile_unit("\n\n".join(unit))
+                unit, size = [], 0
+            unit.append(source)
+            size += len(source) + 2
+        self._compile_unit("\n\n".join(unit))
+        self._chain_fns: list[Optional[Callable]] = [None] * len(layout.states)
+        for head in self.function_sources:
+            self._chain_fns[head] = self._namespace[f"_c{head}"]
 
     # ------------------------------------------------------------------
-    # Name registries (key-dependent per-lane arrays, helper closures)
+    # Name registries (per-lane key slots, helper closures)
     # ------------------------------------------------------------------
-    def _kconst_name(self, value: ObfuscatedConstant) -> str:
-        name = self._kconst_names.get(value)
-        if name is None:
-            name = f"_KC{len(self._kconst_names)}"
-            self._kconst_names[value] = name
-            array: list[int] = []
-            self._kconst_binds.append((value, array))
-            self._namespace[name] = array
-        return name
+    def key_ref(self, identity: Hashable, fn: Callable[[int], int]) -> str:
+        """The ``K[...]`` read of one key-dependent quantity.
 
-    def _rom_name(self, array_name: str, element_type: IntType) -> str:
-        name = self._rom_names.get(array_name)
-        if name is None:
-            name = f"_RM{len(self._rom_names)}"
-            self._rom_names[array_name] = name
-            array: list[int] = []
-            rom = self.design.obfuscated_roms[array_name]
-            self._rom_binds.append((rom, element_type, array))
-            self._namespace[name] = array
-        return name
+        ``fn`` maps a working key to the quantity; it runs once per
+        lane in :meth:`bind_keys`.
+        """
+        slot = self._key_slots.get(identity)
+        if slot is None:
+            slot = self._key_slots[identity] = len(self._key_fns)
+            self._key_fns.append(fn)
+        return f"K[{slot}]"
 
-    def _kb_name(self, key_bit: int) -> str:
-        name = self._kb_names.get(key_bit)
-        if name is None:
-            name = f"_KB{len(self._kb_names)}"
-            self._kb_names[key_bit] = name
-            array: list[int] = []
-            self._kb_binds.append((key_bit, array))
-            self._namespace[name] = array
-        return name
-
-    def _sel_name(self, variants) -> str:
-        name = self._sel_names.get(variants.block_name)
-        if name is None:
-            name = f"_SEL{len(self._sel_names)}"
-            self._sel_names[variants.block_name] = name
-            array: list[int] = []
-            self._sel_binds.append((variants, array, frozenset(variants.variants)))
-            self._namespace[name] = array
-        return name
-
-    def _helper_name(
+    def helper_name(
         self, opcode: Opcode, operand_types: list[IntType], result_type: IntType
     ) -> str:
         key = (opcode, tuple(operand_types), result_type)
@@ -448,122 +412,19 @@ class CodegenDesign:
         if name is None:
             name = f"_h{len(self._helpers)}"
             self._helpers[key] = name
-            fn = _arith_fn(opcode, list(operand_types), result_type)
+            fn = arith_fn(opcode, list(operand_types), result_type)
             assert fn is not None
             self._namespace[name] = fn
         return name
 
-    def _result_slot(self, result: Value) -> tuple[int, IntType]:
-        register = self.design.binding.register_of.get(result)
-        if register is None:
-            raise SimulationError(f"value {result} has no bound register")
-        assert isinstance(result.type, IntType)
-        return self.layout.reg_slots[register.name], result.type
+    def _compile_unit(self, source: str) -> None:
+        index = len(self.unit_sources)
+        self.unit_sources.append(source)
+        code = compile(source, f"<codegen:{self.design.name}:{index}>", "exec")
+        exec(code, self._namespace)
 
     # ------------------------------------------------------------------
-    # Lockstep step functions (one per state; the traced driver)
-    # ------------------------------------------------------------------
-    def _emit_ops_and_retire(
-        self, emitter: _Emitter, state_idx: int, retire, transition
-    ) -> list[str]:
-        """Ops + retire-or-transition lines for one state, either mode.
-
-        ``retire(ret_temp)`` renders lane retirement (with or without
-        a return value) and ``transition(spec)`` renders the
-        controller transition — the two drivers differ only there.
-        """
-        variant = self._variant_states.get(state_idx)
-        layout = self.layout
-
-        def tail(ret_temp: Optional[str]) -> list[str]:
-            if ret_temp is not None:
-                return retire(ret_temp)
-            if layout.done[state_idx]:
-                return retire(None)
-            return transition(layout.transition_specs[state_idx])
-
-        if variant is None:
-            ops = layout.state_op_lists[state_idx] or []
-            reads, commits, ret_temp = emitter.body(ops)
-            return reads + commits + tail(ret_temp)
-        sel_name, per_selector = variant
-        # Render every selector's arm from the same temporary-counter
-        # baseline so semantically identical variants produce identical
-        # text, then group selectors by rendered body: DFG variants are
-        # frequently indistinguishable within a single cstep, and a
-        # collapsed (or group-tested) dispatch keeps variant states off
-        # the sweep's critical path.  Out-of-table selectors fail in
-        # :meth:`CodegenDesign.bind_keys` (mirroring the compiled
-        # tier's bind-time ``KeyError``), so no run-time guard is
-        # needed here.
-        baseline = emitter._tmp
-        high_water = baseline
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for selector in sorted(per_selector):
-            emitter._tmp = baseline
-            reads, commits, ret_temp = emitter.body(per_selector[selector])
-            high_water = max(high_water, emitter._tmp)
-            branch = tuple(reads + commits + tail(ret_temp))
-            groups.setdefault(branch, []).append(selector)
-        emitter._tmp = high_water
-        if len(groups) == 1:
-            return list(next(iter(groups)))
-        sel_ref = emitter._key_ref(sel_name)
-        lines = []
-        ordered = sorted(groups.items(), key=lambda entry: entry[1][0])
-        for position, (branch, selectors) in enumerate(ordered):
-            if position + 1 == len(ordered):
-                lines.append("else:")
-            elif len(selectors) == 1:
-                keyword = "if" if position == 0 else "elif"
-                lines.append(f"{keyword} {sel_ref} == {selectors[0]}:")
-            else:
-                keyword = "if" if position == 0 else "elif"
-                members = ", ".join(str(s) for s in selectors)
-                lines.append(f"{keyword} {sel_ref} in ({members},):")
-            lines.extend(f"    {line}" for line in branch)
-        return lines
-
-    def _emit_state(self, state_idx: int) -> str:
-        emitter = _Emitter(self, scalar=False)
-
-        def retire(ret_temp: Optional[str]) -> list[str]:
-            lines = []
-            if ret_temp is not None:
-                lines.append(f"rv[lane] = {ret_temp}")
-            lines.append(f"states[lane] = {RETIRED}")
-            return lines
-
-        def transition(spec: tuple) -> list[str]:
-            if spec[0] == COND:
-                _, condition, key_bit, true_idx, false_idx = spec
-                true_target = RETIRED if true_idx is None else true_idx
-                false_target = RETIRED if false_idx is None else false_idx
-                test = f"({emitter.operand(condition)}) & 1"
-                if key_bit is not None:
-                    test = f"({test}) ^ {emitter._key_ref(self._kb_name(key_bit))}"
-                return [f"states[lane] = {true_target} if {test} else {false_target}"]
-            next_idx = spec[1]
-            return [f"states[lane] = {RETIRED if next_idx is None else next_idx}"]
-
-        body = self._emit_ops_and_retire(emitter, state_idx, retire, transition)
-        lines = [f"def _s{state_idx}(lanes, regs, mems, sizes, states, rv):"]
-        lines.append(f"    # state {self.layout.state_names[state_idx]}")
-        for slot in sorted(emitter.used_regs):
-            lines.append(f"    _r{slot} = regs[{slot}]")
-        for mem_idx in sorted(emitter.used_mems):
-            lines.append(f"    _M{mem_idx} = mems[{mem_idx}]")
-            lines.append(f"    _z{mem_idx} = sizes[{mem_idx}]")
-        lines.append("    for lane in lanes:")
-        lines.extend(f"        {line}" for line in body)
-        return "\n".join(lines)
-
-    def state_source(self, state_idx: int) -> str:
-        """The generated step function of one state (CI artifact hook)."""
-        return self._state_sources[state_idx]
-
-    # ------------------------------------------------------------------
-    # The sweep driver (untraced runs): chained states, hoisted lanes
+    # Chains
     # ------------------------------------------------------------------
     def _build_chains(self) -> list[list[int]]:
         """Partition states into maximal straight-line multi-cycle runs.
@@ -571,289 +432,233 @@ class CodegenDesign:
         A state joins its predecessor's chain when one of the
         predecessor's outbound edges — the ``SEQ`` edge, or either arm
         of a ``COND`` — is its *sole* inbound edge and it is not the
-        entry state; for a ``COND`` the other arm becomes an explicit
-        exit jump back to the dispatcher.  Every state not absorbed
-        this way heads its own chain and is a dispatch target.
-        Chaining through conditionals is what keeps whole loop bodies
-        straight-line: a corrupted wrong-key lane spinning in a loop
-        pays one dispatch per iteration, not one per state.
+        entry state; for a ``COND`` the other arm becomes an exit from
+        the chain.  When both arms could be absorbed, the one whose
+        continuation jumps back to the chain head wins: the loop then
+        spins as a ``continue`` inside one function, which is where a
+        corrupted wrong-key lane spends its cycles.  States with
+        several inbound edges (and the entry) head chains first; a
+        state left over because its predecessor took the other arm
+        heads a chain of its own.
         """
         layout = self.layout
         n = len(layout.states)
         preds = [0] * n
         for spec in layout.transition_specs:
-            if spec[0] == COND:
-                for target in (spec[3], spec[4]):
-                    if target is not None:
-                        preds[target] += 1
-            elif spec[1] is not None:
-                preds[spec[1]] += 1
+            for target in self._targets(spec):
+                if target is not None:
+                    preds[target] += 1
+        claimed: set[int] = set()
 
-        def chainable(target: Optional[int], chained: set[int]) -> bool:
-            return (
-                target is not None
-                and target != layout.entry_idx
-                and preds[target] == 1
-                and target not in chained
-            )
-
-        chained: set[int] = set()
-        chains: list[list[int]] = []
-        for idx in range(n):
-            if idx != layout.entry_idx and preds[idx] == 1:
-                # Might be chain-internal; emitted when its predecessor's
-                # chain reaches it (or as a singleton fallback below).
-                continue
-            chain = [idx]
-            current = idx
-            while not self.layout.done[current]:
-                spec = layout.transition_specs[current]
-                if spec[0] == SEQ:
-                    target = spec[1]
-                else:
-                    # Prefer falling through into the false arm (the
-                    # forward edge, by convention); take the true arm
-                    # when only it is absorbable.
-                    target = spec[4] if chainable(spec[4], chained) else spec[3]
-                if not chainable(target, chained):
+        def grow(head: int, prefer_loops: bool = True) -> list[int]:
+            chain = [head]
+            while not layout.done[chain[-1]]:
+                options = [
+                    target
+                    for target in self._targets(layout.transition_specs[chain[-1]])
+                    if target is not None
+                    and target != layout.entry_idx
+                    and preds[target] == 1
+                    and target not in claimed
+                    and target not in chain
+                ]
+                if not options:
                     break
+                target = options[0]
+                if prefer_loops and len(options) > 1:
+                    for option in options:
+                        if any(
+                            head in self._targets(layout.transition_specs[state])
+                            for state in grow(option, prefer_loops=False)
+                        ):
+                            target = option
+                            break
                 chain.append(target)
-                chained.add(target)
-                current = target
-            chains.append(chain)
-        emitted = chained | {chain[0] for chain in chains}
-        for idx in range(n):
-            if idx not in emitted:
-                chains.append([idx])  # unreachable SEQ cycles, defensively
+            return chain
+
+        heads = [i for i in range(n) if i == layout.entry_idx or preds[i] != 1]
+        chains: list[list[int]] = []
+        for idx in heads + list(range(n)):
+            if idx not in claimed:
+                chain = grow(idx)
+                claimed.update(chain)
+                chains.append(chain)
         return chains
 
-    def _emit_sweep(self) -> str:
-        """The per-lane run-to-retirement driver, as generated source.
+    @staticmethod
+    def _targets(spec: tuple) -> tuple[Optional[int], ...]:
+        """Successor states of a transition spec, false arm first."""
+        return (spec[4], spec[3]) if spec[0] == COND else (spec[1],)
 
-        For each lane: hoist registers, memories and key material into
-        locals, then a ``while`` dispatch over chain heads where each
-        chain executes its states as consecutive cycles without
-        returning to the dispatcher.  Retirement and timeout both
-        ``break``; ``_done`` distinguishes them.
+    def _split(self, chain: list[int]) -> list[tuple[list[int], str]]:
+        """Cut a chain into segments whose rendering fits one unit.
+
+        Returns ``[(segment, source)]``.  The continuation state of each
+        cut becomes a segment head (a dispatch target of its own).  A
+        single state is never cut.
         """
-        layout = self.layout
-        emitter = _Emitter(self, scalar=True)
-        chains = self._build_chains()
-
-        def condition_test(spec: tuple) -> str:
-            _, condition, key_bit, _, _ = spec
-            test = f"({emitter.operand(condition)}) & 1"
-            if key_bit is not None:
-                test = f"({test}) ^ {emitter._key_ref(self._kb_name(key_bit))}"
-            return test
-
-        def retire_with(consumed: int):
-            """Lane retirement; ``consumed`` > 0 charges the cycles the
-            unchecked rendering did not count one by one."""
-
-            def retire(ret_temp: Optional[str]) -> list[str]:
-                lines = []
-                if ret_temp is not None:
-                    lines.append(f"rv[lane] = {ret_temp}")
-                if consumed:
-                    lines.append(f"_n += {consumed}")
-                lines.extend(["_done = True", "break"])
-                return lines
-
-            return retire
-
-        chain_by_head = {chain[0]: chain for chain in chains}
-        #: Short-chain targets of a transition are inlined (as
-        #: budget-checked cycles) up to this depth instead of bouncing
-        #: through the dispatcher — corrupted wrong-key lanes spin
-        #: through short cross-chain loops, and each inlined cycle
-        #: saves a dispatch.
-        INLINE_DEPTH = 2
-        INLINE_MAX_CHAIN = 2
-
-        def goto(target: int, depth: int) -> list[str]:
-            chain = chain_by_head.get(target)
-            if depth <= 0 or chain is None or len(chain) > INLINE_MAX_CHAIN:
-                return [f"_s = {target}", "continue"]
-            lines: list[str] = []
-            for position, state_idx in enumerate(chain):
-                if position + 1 < len(chain):
-                    render = internal_transition(chain[position + 1], 0, depth - 1)
-                else:
-                    render = tail_transition_with(0, depth - 1)
-                lines.extend(
-                    cycle(state_idx, True, retire_with(0), render, note="inlined ")
+        segments: list[tuple[list[int], str]] = []
+        start = 0
+        while start < len(chain):
+            end = len(chain)
+            source = self._render(chain[start:end])
+            while end - start > 1 and len(source) > UNIT_SOURCE_CAP:
+                # Shrink in proportion to the overshoot, by one at least.
+                length = end - start
+                end = start + max(
+                    1, min(length - 1, length * UNIT_SOURCE_CAP // len(source))
                 )
-            return lines
+                source = self._render(chain[start:end])
+            segments.append((chain[start:end], source))
+            start = end
+        return segments
 
-        def arm(target: Optional[int], depth: int) -> list[str]:
-            if target is None:
-                return ["_done = True", "break"]
-            return goto(target, depth)
+    # ------------------------------------------------------------------
+    # Rendering
+    # ------------------------------------------------------------------
+    def _cycle(
+        self, state_idx: int
+    ) -> tuple[list[tuple[tuple[int, ...], list[str], Optional[str]]], set[int]]:
+        """The memoized body groups of one state, and the memories
+        they touch.
 
-        def tail_transition_with(consumed: int, depth: int):
-            """Chain-tail transition: every arm leaves the chain, so the
-            cycle charge (if any) is emitted once up front."""
-
-            def transition(spec: tuple) -> list[str]:
-                lines = [f"_n += {consumed}"] if consumed else []
-                if spec[0] == COND:
-                    test = condition_test(spec)
-                    lines.append(f"if {test}:")
-                    lines.extend(f"    {line}" for line in arm(spec[3], depth))
-                    lines.extend(arm(spec[4], depth))
-                    return lines
-                return lines + arm(spec[1], depth)
-
-            return transition
-
-        def internal_transition(next_in_chain: int, consumed: int, depth: int):
-            """Renderer for a chain-internal edge: a ``SEQ`` edge emits
-            nothing (fall through into the next cycle's code); a
-            ``COND`` emits only the exit arm — the chained arm is the
-            fall-through, whose cycles a later exit will charge."""
-
-            def render(spec: tuple) -> list[str]:
-                if spec[0] == SEQ:
-                    return []
-                true_idx, false_idx = spec[3], spec[4]
-                test = condition_test(spec)
-                if false_idx == next_in_chain:
-                    exit_test, exit_target = test, true_idx
-                else:
-                    assert true_idx == next_in_chain
-                    exit_test, exit_target = f"not ({test})", false_idx
-                body = [f"_n += {consumed}"] if consumed else []
-                body += arm(exit_target, depth)
-                return [f"if {exit_test}:"] + [f"    {line}" for line in body]
-
-            return render
-
-        def cycle(
-            state_idx: int, checked: bool, retire, render, note: str = ""
-        ) -> list[str]:
-            block = [f"# {note}state {layout.state_names[state_idx]}"]
-            if checked:
-                block.append("if _n == budget:")
-                block.append("    break")
-                block.append("_n += 1")
-            block.extend(
-                self._emit_ops_and_retire(emitter, state_idx, retire, render)
+        The groups are ``[(selectors, lines, ret_temp)]`` — one entry
+        for a plain state, and for a DFG-variant state one entry per
+        group of selectors whose arms render to identical text.
+        """
+        cached = self._cycles.get(state_idx)
+        if cached is not None:
+            return cached
+        emitter = _Emitter(self)
+        variant = self._variant_states.get(state_idx)
+        per_selector = (
+            {0: self.layout.state_op_lists[state_idx] or []}
+            if variant is None
+            else variant[1]
+        )
+        # Selectors whose arms hold the same operations render once;
+        # arms whose operations differ but render to the same text
+        # (a dead write, say) merge afterwards.
+        same_ops: dict[tuple, list[int]] = {}
+        for selector in sorted(per_selector):
+            ops = tuple(
+                (opcode, result, tuple(operands), array_name)
+                for opcode, result, operands, array_name in map(
+                    op_fields, per_selector[selector]
+                )
             )
-            return block
+            same_ops.setdefault(ops, []).append(selector)
+        groups: dict[tuple, list[int]] = {}
+        for selectors in same_ops.values():
+            self.body_renders += 1
+            lines, ret_temp = emitter.body(per_selector[selectors[0]])
+            groups.setdefault((tuple(lines), ret_temp), []).extend(selectors)
+        result = [
+            (tuple(sorted(selectors)), list(lines), ret_temp)
+            for (lines, ret_temp), selectors in sorted(
+                groups.items(), key=lambda entry: min(entry[1])
+            )
+        ]
+        self._cycles[state_idx] = (result, emitter.mems)
+        return result, emitter.mems
 
-        def chain_cycles(chain: list[int], checked: bool) -> list[str]:
-            """One rendering of a chain: ``checked`` counts and guards
-            the budget every cycle; the unchecked form runs the whole
-            chain and charges cycles only at its exits (the caller
-            guarantees the budget covers the full chain)."""
-            block: list[str] = []
-            for position, state_idx in enumerate(chain):
-                consumed = 0 if checked else position + 1
-                if position + 1 < len(chain):
-                    render = internal_transition(
-                        chain[position + 1], consumed, INLINE_DEPTH
-                    )
+    def _condition(self, spec: tuple) -> str:
+        _, condition, key_bit, _, _ = spec
+        test = f"({_Emitter(self).operand(condition)}) & 1"
+        if key_bit is not None:
+            bit_ref = self.key_ref(("kb", key_bit), lambda key, b=key_bit: (key >> b) & 1)
+            test = f"({test}) ^ {bit_ref}"
+        return test
+
+    def _render(self, segment: list[int]) -> str:
+        """One chain segment as the function ``_c<head>``: its states as
+        consecutive cycles, looping on a jump back to the head and
+        returning ``(next_state, cycles)`` on any other exit."""
+        layout = self.layout
+        head = segment[0]
+        mems: set[int] = set()
+        body: list[str] = []
+
+        def goto(target: Optional[int]) -> list[str]:
+            if target is None:
+                return [f"return {DONE}, n"]
+            if target == head:
+                return ["continue"]
+            return [f"return {target}, n"]
+
+        for position, state_idx in enumerate(segment):
+            following = segment[position + 1] if position + 1 < len(segment) else None
+
+            def tail(ret_temp: Optional[str]) -> list[str]:
+                if ret_temp is not None:
+                    return [f"R[{layout.n_regs}] = {ret_temp}"] + goto(None)
+                if layout.done[state_idx]:
+                    return goto(None)
+                spec = layout.transition_specs[state_idx]
+                if spec[0] == SEQ:
+                    return [] if following is not None else goto(spec[1])
+                test = self._condition(spec)
+                if following is None:
+                    return [f"if {test}:", *_indent(goto(spec[3]))] + goto(spec[4])
+                if spec[4] == following:
+                    return [f"if {test}:", *_indent(goto(spec[3]))]
+                return [f"if not ({test}):", *_indent(goto(spec[4]))]
+
+            body += [
+                f"# state {layout.state_names[state_idx]}",
+                "if n >= budget:",
+                f"    return {TIMEOUT}, n",
+                "n += 1",
+            ]
+            groups, state_mems = self._cycle(state_idx)
+            mems |= state_mems
+            if len(groups) == 1:
+                _, group_lines, ret_temp = groups[0]
+                body += group_lines + tail(ret_temp)
+                continue
+            # Selector dispatch.  The tail is rendered once after the
+            # dispatch when no arm returns, and once per group otherwise.
+            shared_tail = all(ret_temp is None for _, _, ret_temp in groups)
+            sel_ref = self._variant_states[state_idx][0]
+            for index, (selectors, group_lines, ret_temp) in enumerate(groups):
+                keyword = "elif" if index else "if"
+                if index + 1 == len(groups):
+                    body.append("else:")
+                elif len(selectors) == 1:
+                    body.append(f"{keyword} {sel_ref} == {selectors[0]}:")
                 else:
-                    render = tail_transition_with(consumed, INLINE_DEPTH)
-                block.extend(
-                    cycle(state_idx, checked, retire_with(consumed), render)
-                )
-            return block
+                    members = ", ".join(str(s) for s in selectors)
+                    body.append(f"{keyword} {sel_ref} in ({members},):")
+                arm = group_lines if shared_tail else group_lines + tail(ret_temp)
+                body += _indent(arm or ["pass"])
+            if shared_tail:
+                body += tail(None)
+        lines = [f"def _c{head}(R, M, K, n, budget):"]
+        lines += [f"    _a{m} = M[{m}]" for m in sorted(mems)]
+        lines.append("    while True:")
+        return "\n".join(lines + _indent(body, "        "))
 
-        #: Chains at least this long get a second, check-free rendering
-        #: used while the remaining budget covers the whole chain.
-        UNCHECKED_MIN_CHAIN = 3
-
-        chain_blocks: list[tuple[int, list[str]]] = []
-        for chain in chains:
-            if len(chain) >= UNCHECKED_MIN_CHAIN:
-                block = [f"if budget - _n >= {len(chain)}:"]
-                block.extend(f"    {line}" for line in chain_cycles(chain, False))
-                block.append("else:")
-                block.extend(f"    {line}" for line in chain_cycles(chain, True))
-            else:
-                block = chain_cycles(chain, True)
-            chain_blocks.append((chain[0], block))
-
-        lines = ["def _sweep(lanes, regs, mems, sizes, rv, fin, end, budget):"]
-        indent = "    "
-        for slot in sorted(emitter.used_regs):
-            lines.append(f"{indent}_R{slot} = regs[{slot}]")
-        for mem_idx in sorted(emitter.used_mems):
-            lines.append(f"{indent}_M{mem_idx} = mems[{mem_idx}]")
-            lines.append(f"{indent}_z{mem_idx} = sizes[{mem_idx}]")
-        lines.append(f"{indent}for lane in lanes:")
-        indent = "        "
-        for slot in sorted(emitter.used_regs):
-            lines.append(f"{indent}_v{slot} = _R{slot}[lane]")
-        for mem_idx in sorted(emitter.used_mems):
-            lines.append(f"{indent}_a{mem_idx} = _M{mem_idx}[lane]")
-        for array_name in sorted(emitter.used_keys):
-            lines.append(f"{indent}_{array_name.lower()} = {array_name}[lane]")
-        lines.append(f"{indent}_n = 0")
-        lines.append(f"{indent}_done = False")
-        lines.append(f"{indent}_s = {layout.entry_idx}")
-        lines.append(f"{indent}while True:")
-        # Balanced binary dispatch over chain heads: O(log chains)
-        # comparisons per dispatch instead of a linear if/elif scan —
-        # branch-obfuscated FSMs have dense COND targets, so most
-        # chains are short and dispatch runs nearly every cycle.
-        chain_blocks.sort(key=lambda entry: entry[0])
-
-        def dispatch(blocks: list, depth: str) -> None:
-            if len(blocks) <= 3:
-                keyword = "if"
-                for head, block in blocks:
-                    lines.append(f"{depth}{keyword} _s == {head}:")
-                    lines.extend(f"{depth}    {line}" for line in block)
-                    keyword = "elif"
-                lines.append(f"{depth}else:")
-                lines.append(
-                    f"{depth}    raise SystemError('unreachable state %r' % _s)"
-                )
-                return
-            mid = len(blocks) // 2
-            lines.append(f"{depth}if _s < {blocks[mid][0]}:")
-            dispatch(blocks[:mid], depth + "    ")
-            lines.append(f"{depth}else:")
-            dispatch(blocks[mid:], depth + "    ")
-
-        dispatch(chain_blocks, "            ")
-        lines.append("        fin[lane] = _done")
-        lines.append("        end[lane] = _n")
-        return "\n".join(lines)
+    def state_source(self, state_idx: int) -> str:
+        """The generated chain function that holds one state's code."""
+        return self.function_sources[self._head_of_state[state_idx]]
 
     # ------------------------------------------------------------------
     # Per-batch key specialization
     # ------------------------------------------------------------------
     def bind_keys(self, working_keys: Sequence[int]) -> None:
-        """Fill every per-lane key array for the batch ``working_keys``.
+        """Fill every lane's key material for the batch ``working_keys``.
 
-        Cheap — O(lanes × (obfuscated constants + ROMs + masked
-        branches + variant blocks)), independent of cycle count — and
-        memoized on the last bound batch.  Lane ``i`` of the subsequent
-        :meth:`run_batch` simulates ``working_keys[i]``.
+        Cheap — O(lanes × key-dependent quantities), independent of
+        cycle count — and memoized on the last bound batch.  Lane ``i``
+        of the subsequent :meth:`run_batch` simulates
+        ``working_keys[i]``.  An out-of-table variant selector in any
+        lane raises ``KeyError`` and leaves the previous binding intact.
         """
         keys = tuple(working_keys)
         if keys == self._bound_keys:
             return
-        for oc, array in self._kconst_binds:
-            array[:] = [oc.decode(key) for key in keys]
-        for rom, element_type, array in self._rom_binds:
-            array[:] = [rom.mask_for(element_type, key) for key in keys]
-        for bit, array in self._kb_binds:
-            array[:] = [(key >> bit) & 1 for key in keys]
-        for variants, array, valid in self._sel_binds:
-            selectors = []
-            for key in keys:
-                selector = variants.selector(key)
-                if selector not in valid:
-                    # Mirror the compiled tier, which KeyErrors on an
-                    # out-of-table selector when binding the key.
-                    raise KeyError(selector)
-                selectors.append(selector)
-            array[:] = selectors
+        fns = self._key_fns
+        self._lane_keys = [[fn(key) for fn in fns] for key in keys]
         self._bound_keys = keys
 
     # ------------------------------------------------------------------
@@ -865,15 +670,13 @@ class CodegenDesign:
         arrays: Optional[dict[str, list[int]]] = None,
         working_keys: Sequence[int] = (),
         max_cycles: int = 2_000_000,
-        trace: bool = False,
     ) -> list[SimulationResult]:
         """Simulate one lane per working key; all lanes share the workload.
 
         Every lane starts from the same arguments and initial memory
-        images (each lane gets private copies) and advances through the
-        FSM; lanes retire independently.  The result list is
-        lane-indexed: ``result[i]`` is field-identical to a scalar run
-        of ``working_keys[i]`` on any engine.
+        images (each lane gets private copies) and runs to completion
+        or to the budget.  ``result[i]`` is field-identical to an
+        untraced interpreter run of ``working_keys[i]``.
         """
         layout = self.layout
         if len(args) != layout.n_scalar_params:
@@ -881,89 +684,34 @@ class CodegenDesign:
                 f"{self.design.func.name} expects {layout.n_scalar_params} "
                 f"scalar args, got {len(args)}"
             )
-        keys = list(working_keys)
-        n_lanes = len(keys)
-        if n_lanes == 0:
+        if not working_keys:
             return []
-        self.bind_keys(keys)
-        regs: list[list[int]] = [[0] * n_lanes for _ in range(layout.n_regs)]
+        self.bind_keys(working_keys)
+        registers: list[Optional[int]] = [0] * layout.n_regs + [None]
         for latch, arg in zip(layout.param_latches, args):
             if latch is not None:
                 slot, wrap = latch
-                value = wrap(arg)
-                row = regs[slot]
-                for lane in range(n_lanes):
-                    row[lane] = value
-        # Lane-indexed memory images (mems[mem][lane]) plus each lane's
-        # name-keyed view of its own lists (for SimulationResult.arrays).
-        mems: list[list[list[int]]] = [[] for _ in layout.memory_specs]
-        arrays_by_lane: list[dict[str, list[int]]] = []
-        for _ in range(n_lanes):
-            lane_mems, by_name = layout.initial_memories(arrays)
-            for mem_idx, memory in enumerate(lane_mems):
-                mems[mem_idx].append(memory)
-            arrays_by_lane.append(by_name)
-        sizes = [len(rows[0]) if rows else 0 for rows in mems]
-
-        rv: list[Optional[int]] = [None] * n_lanes
-        completed = [False] * n_lanes
-        retire_cycle = [0] * n_lanes
-        traces: list[list[str]] = [[] for _ in range(n_lanes)]
-        if trace:
-            self._run_lockstep(
-                n_lanes, regs, mems, sizes, rv, completed, retire_cycle,
-                traces, max_cycles,
+                registers[slot] = wrap(arg)
+        chain_fns = self._chain_fns
+        entry = layout.entry_idx
+        results = []
+        for lane_keys in self._lane_keys:
+            lane_registers = list(registers)
+            memories, by_name = layout.initial_memories(arrays)
+            state, cycles = entry, 0
+            while state >= 0:
+                state, cycles = chain_fns[state](
+                    lane_registers, memories, lane_keys, cycles, max_cycles
+                )
+            results.append(
+                SimulationResult(
+                    return_value=lane_registers[-1],
+                    arrays=by_name,
+                    cycles=cycles,
+                    completed=state == DONE,
+                )
             )
-        else:
-            self._sweep(
-                range(n_lanes), regs, mems, sizes, rv, completed, retire_cycle,
-                max_cycles,
-            )
-        return [
-            SimulationResult(
-                return_value=rv[lane],
-                arrays=arrays_by_lane[lane],
-                cycles=retire_cycle[lane],
-                completed=completed[lane],
-                state_trace=traces[lane],
-            )
-            for lane in range(n_lanes)
-        ]
-
-    def _run_lockstep(
-        self, n_lanes, regs, mems, sizes, rv, completed, retire_cycle,
-        traces, max_cycles,
-    ) -> None:
-        """Cycle-lockstep driver: bucket live lanes by state, step each
-        bucket through its state's generated function (traced runs)."""
-        step_fns = self._step_fns
-        state_names = self.layout.state_names
-        states = [self.layout.entry_idx] * n_lanes
-        live = list(range(n_lanes))
-        cycles = 0
-        while live and cycles < max_cycles:
-            cycles += 1
-            for lane in live:
-                traces[lane].append(state_names[states[lane]])
-            buckets: dict[int, list[int]] = {}
-            for lane in live:
-                bucket = buckets.get(states[lane])
-                if bucket is None:
-                    buckets[states[lane]] = [lane]
-                else:
-                    bucket.append(lane)
-            for state_idx, lanes in buckets.items():
-                step_fns[state_idx](lanes, regs, mems, sizes, states, rv)
-            retained = []
-            for lane in live:
-                if states[lane] < 0:
-                    completed[lane] = True
-                    retire_cycle[lane] = cycles
-                else:
-                    retained.append(lane)
-            live = retained
-        for lane in live:  # budget expired with the lane still running
-            retire_cycle[lane] = cycles
+        return results
 
     def run(
         self,
@@ -971,7 +719,6 @@ class CodegenDesign:
         arrays: Optional[dict[str, list[int]]] = None,
         working_key: int = 0,
         max_cycles: int = 2_000_000,
-        trace: bool = False,
     ) -> SimulationResult:
         """One scalar trial — a batch of one lane."""
         return self.run_batch(
@@ -979,7 +726,6 @@ class CodegenDesign:
             arrays=arrays,
             working_keys=[working_key],
             max_cycles=max_cycles,
-            trace=trace,
         )[0]
 
 
@@ -992,8 +738,7 @@ _CODEGEN_CACHE = PlanCache(CodegenDesign, limit=8)
 def codegen_for(design: FsmdDesign) -> CodegenDesign:
     """The (memoized) generated plan for ``design``.
 
-    Same contract as :func:`repro.sim.compiled.compiled_for`: keyed on
-    object identity, validated against the obfuscation-metadata
-    fingerprint, bounded LRU.
+    Keyed on object identity, validated against
+    :func:`repro.sim.layout.design_fingerprint`, bounded LRU.
     """
     return _CODEGEN_CACHE.plan_for(design)

@@ -11,7 +11,7 @@ of times over for work whose answer never changes.
 FsmdDesign` **once** into a flat execution plan (the design analysis —
 slot assignment, wrap elision, state indexing, transitions, variant
 tables — lives in the shared :class:`repro.sim.layout.DesignLayout`,
-which the codegen tier consumes too):
+which the codegen engine consumes too):
 
 * registers become a ``list[int]`` with slot indices precomputed per
   value, and memories a ``list[list[int]]`` with slot indices
@@ -30,11 +30,12 @@ variant selections and branch key bits — live in small mutable cells
 that :meth:`CompiledDesign.bind_key` fills per working key, so one
 compilation serves every key of a campaign.
 
-This is the middle tier of the three-tier engine architecture:
-``interp`` (the reference oracle) < ``compiled`` (this module: one
-closure call per op per cycle) < ``codegen``
-(:mod:`repro.sim.codegen`: one exec()-generated straight-line step
-function per state, lane-vectorized across a whole key batch).
+This is the middle of the three engines: ``interp`` (the reference
+oracle) < ``compiled`` (this module: one closure call per op per
+cycle) < ``codegen`` (:mod:`repro.sim.codegen`, the default: one
+exec()-generated function per chain of states).  It stays selectable
+(``--engine compiled``) and is the one fast engine that records a
+state trace natively.
 
 Determinism contract: for any design, arguments, arrays, key and cycle
 budget, every engine's :class:`~repro.sim.fsmd_sim.SimulationResult`
@@ -44,228 +45,31 @@ cycle count, completed flag and — when tracing — the state trace).
 benchmark, preset pipeline and key class; the interpreter remains the
 oracle.
 
-Engine seam: :func:`resolve_engine` picks the engine for
-``simulate``/``run_testbench`` — an explicit ``engine`` argument wins,
-then the ``REPRO_SIM_ENGINE`` environment variable, then the default
-``"compiled"``.  :func:`compiled_for` memoizes compilations per design
-object (guarded by a cheap obfuscation-metadata fingerprint, so
-re-obfuscating a design in place recompiles rather than running stale
-code).
+The engine seam (:func:`repro.sim.engine.resolve_engine`) registers
+this module's engine as ``compiled``.  :func:`compiled_for` memoizes
+compilations per design object (guarded by a cheap
+obfuscation-metadata fingerprint, so re-obfuscating a design in place
+recompiles rather than running stale code).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.hls.design import FsmdDesign, VariantOp
-from repro.ir.instructions import Instruction, Opcode
+from repro.hls.design import FsmdDesign
+from repro.ir.instructions import Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
-from repro.registry import REGISTRY
 from repro.sim.fsmd_sim import (
-    FsmdSimulator,
     SimulationError,
     SimulationResult,
     zero_size_memory_error,
 )
-from repro.sim.layout import DesignLayout, PlanCache
 from repro.sim.layout import COND as _COND
-from repro.sim.layout import design_fingerprint as _design_fingerprint  # noqa: F401 (re-export for back-compat)
+from repro.sim.layout import DesignLayout, PlanCache, arith_fn, op_fields
 from repro.sim.layout import wrap_fn as _wrap_fn
 
-#: Environment variable selecting the default simulation engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-DEFAULT_ENGINE = "compiled"
-
-
-@dataclass(frozen=True)
-class EngineDriver:
-    """One simulation engine as a registered capability.
-
-    ``run`` executes a single key trial with the
-    ``(design, args, arrays, working_key, max_cycles)`` signature of
-    :func:`repro.sim.fsmd_sim.simulate`; ``run_batch`` (optional)
-    sweeps one workload across many keys at once — engines without a
-    native batch path are looped scalar by ``simulate_batch``.  Every
-    engine must return :class:`SimulationResult`\\ s field-identical
-    to the ``interp`` reference oracle.
-    """
-
-    name: str
-    description: str
-    run: Callable[..., SimulationResult]
-    run_batch: Optional[Callable[..., list]] = None
-
-
-def _compiled_run(design, args, arrays, working_key, max_cycles):
-    return compiled_for(design).run(
-        args, arrays=arrays, working_key=working_key, max_cycles=max_cycles
-    )
-
-
-def _interp_run(design, args, arrays, working_key, max_cycles):
-    return FsmdSimulator(design, max_cycles=max_cycles).run(args, arrays, working_key)
-
-
-def _codegen_run(design, args, arrays, working_key, max_cycles):
-    from repro.sim.codegen import codegen_for
-
-    return codegen_for(design).run(
-        args, arrays=arrays, working_key=working_key, max_cycles=max_cycles
-    )
-
-
-def _codegen_run_batch(design, args, arrays, working_keys, max_cycles):
-    from repro.sim.codegen import codegen_for
-
-    return codegen_for(design).run_batch(
-        args, arrays=arrays, working_keys=working_keys, max_cycles=max_cycles
-    )
-
-
-for _driver in (
-    EngineDriver(
-        name="compiled",
-        description="closure-compiled plan, lowered once per design (default)",
-        run=_compiled_run,
-    ),
-    EngineDriver(
-        name="interp",
-        description="reference interpreter: the differential oracle",
-        run=_interp_run,
-    ),
-    EngineDriver(
-        name="codegen",
-        description="exec()-generated source, lane-vectorized across key batches",
-        run=_codegen_run,
-        run_batch=_codegen_run_batch,
-    ),
-):
-    REGISTRY.register(
-        "engine", _driver.name, _driver, description=_driver.description
-    )
-del _driver
-
-#: Known engines, in registration order (fastest tier last): the
-#: closure-compiled plan (the default), the reference interpreter (the
-#: differential oracle), and the exec()-generated, key-batched codegen
-#: tier.  Snapshot of the builtin registrations; plugin engines appear
-#: through :func:`engine_driver` / ``repro list``, not this tuple.
-ENGINES = tuple(REGISTRY.names("engine"))
-
-
-def engine_driver(name: str) -> EngineDriver:
-    """The registered :class:`EngineDriver` called ``name`` (plugins
-    loaded first), with the uniform unknown-capability error."""
-    REGISTRY.load_plugins()
-    return REGISTRY.get("engine", name)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """The engine to run: explicit choice > ``$REPRO_SIM_ENGINE`` > default."""
-    if engine:
-        choice, source = engine, "engine argument"
-    elif os.environ.get(ENGINE_ENV):
-        choice, source = os.environ[ENGINE_ENV], f"${ENGINE_ENV}"
-    else:
-        choice, source = DEFAULT_ENGINE, "default"
-    REGISTRY.load_plugins()
-    REGISTRY.entry("engine", choice, context=f"(from {source})")
-    return choice
-
-
 _Reader = Callable[[list], int]
-
-
-def _arith_fn(
-    opcode: Opcode, operand_types: list[IntType], result_type: IntType
-) -> Optional[Callable]:
-    """Compile one datapath opcode to a closure over Python ints.
-
-    Mirrors :func:`repro.opt.constant_folding.evaluate_op` exactly
-    (including division-by-zero totality, shift-modulo semantics and
-    the operand-type bit masking of the bitwise ops), with the result
-    wrap folded in — the bit-identity contract with the interpreter
-    rests on this correspondence.
-    """
-    wrap = _wrap_fn(result_type)
-    if opcode is Opcode.ADD:
-        return lambda a, b: wrap(a + b)
-    if opcode is Opcode.SUB:
-        return lambda a, b: wrap(a - b)
-    if opcode is Opcode.MUL:
-        return lambda a, b: wrap(a * b)
-    if opcode is Opcode.DIV:
-
-        def div(a: int, b: int) -> int:
-            if b == 0:
-                return wrap(0)
-            quotient = abs(a) // abs(b)
-            return wrap(-quotient if (a < 0) != (b < 0) else quotient)
-
-        return div
-    if opcode is Opcode.REM:
-
-        def rem(a: int, b: int) -> int:
-            if b == 0:
-                return wrap(0)
-            magnitude = abs(a) % abs(b)
-            return wrap(-magnitude if a < 0 else magnitude)
-
-        return rem
-    if opcode is Opcode.NEG:
-        return lambda a: wrap(-a)
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        mask0 = (1 << operand_types[0].width) - 1
-        mask1 = (1 << operand_types[1].width) - 1
-        if opcode is Opcode.AND:
-            return lambda a, b: wrap((a & mask0) & (b & mask1))
-        if opcode is Opcode.OR:
-            return lambda a, b: wrap((a & mask0) | (b & mask1))
-        return lambda a, b: wrap((a & mask0) ^ (b & mask1))
-    if opcode is Opcode.NOT:
-        return lambda a: wrap(~a)
-    if opcode in (Opcode.SHL, Opcode.SHR):
-        modulus = max(1, result_type.width)
-        if opcode is Opcode.SHL:
-            return lambda a, b: wrap(a << (b % modulus))
-        if operand_types[0].signed:
-            return lambda a, b: wrap(a >> (b % modulus))
-        mask0 = (1 << operand_types[0].width) - 1
-        return lambda a, b: wrap((a & mask0) >> (b % modulus))
-    if opcode in (Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE):
-        true_value = wrap(1)
-        false_value = wrap(0)
-        if opcode is Opcode.EQ:
-            return lambda a, b: true_value if a == b else false_value
-        if opcode is Opcode.NE:
-            return lambda a, b: true_value if a != b else false_value
-        if opcode is Opcode.LT:
-            return lambda a, b: true_value if a < b else false_value
-        if opcode is Opcode.LE:
-            return lambda a, b: true_value if a <= b else false_value
-        if opcode is Opcode.GT:
-            return lambda a, b: true_value if a > b else false_value
-        return lambda a, b: true_value if a >= b else false_value
-    if opcode is Opcode.MOV:
-        return lambda a: wrap(a)
-    return None
-
-
-def _op_fields(op) -> tuple:
-    """``(opcode, result, operands, array_name)`` of a scheduled op or
-    a DFG :class:`VariantOp` — the two shapes the fast tiers execute."""
-    if isinstance(op, Instruction):
-        return (
-            op.opcode,
-            op.result,
-            list(op.operands),
-            op.array.name if op.array is not None else None,
-        )
-    assert isinstance(op, VariantOp)
-    return op.opcode, op.result, list(op.operands), op.array_name
 
 
 class CompiledDesign:
@@ -354,7 +158,7 @@ class CompiledDesign:
         return [ex for ex in compiled if ex is not None]
 
     def _compile_op(self, op) -> Optional[Callable]:
-        opcode, result, operands, array_name = _op_fields(op)
+        opcode, result, operands, array_name = op_fields(op)
 
         if opcode in (Opcode.JUMP, Opcode.BRANCH):
             return None  # handled by the compiled transitions
@@ -454,7 +258,7 @@ class CompiledDesign:
         for operand in operands:
             assert isinstance(operand.type, IntType)
             operand_types.append(operand.type)
-        fn = _arith_fn(opcode, operand_types, result.type)
+        fn = arith_fn(opcode, operand_types, result.type)
         if fn is None:
             raise SimulationError(f"cannot evaluate opcode {opcode}")
         slot, _ = self._result_slot(result)

@@ -327,20 +327,19 @@ def simulate(
     max_cycles: int = 2_000_000,
     engine: Optional[str] = None,
 ) -> SimulationResult:
-    """Run one FSMD trial on the selected engine.
+    """Run one FSMD trial on the selected engine — a batch of one key.
 
-    ``engine`` is ``"compiled"`` (the default: the design is lowered
-    once by :mod:`repro.sim.compiled` and the plan is reused across
-    calls and keys), ``"codegen"`` (Python source generated per design
-    by :mod:`repro.sim.codegen`; here it runs a one-lane batch) or
+    ``engine`` is ``"codegen"`` (the default: Python source generated
+    once per design by :mod:`repro.sim.codegen`), ``"compiled"``
+    (closure plans lowered once by :mod:`repro.sim.compiled`) or
     ``"interp"`` (this module's reference interpreter); ``None`` defers
-    to ``$REPRO_SIM_ENGINE``.  All engines return field-identical
-    :class:`SimulationResult`\\ s — the differential tests assert it.
+    to ``$REPRO_SIM_ENGINE`` (see :func:`repro.sim.engine.resolve_engine`).
+    All engines return field-identical :class:`SimulationResult`\\ s —
+    the differential tests assert it.
     """
-    from repro.sim.compiled import engine_driver, resolve_engine
-
-    driver = engine_driver(resolve_engine(engine))
-    return driver.run(design, args, arrays, working_key, max_cycles)
+    return simulate_batch(
+        design, args, arrays, [working_key], max_cycles=max_cycles, engine=engine
+    )[0]
 
 
 def simulate_batch(
@@ -353,29 +352,14 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Run one FSMD trial per working key; all lanes share the workload.
 
-    The batched counterpart of :func:`simulate` and the seam the
-    key-trial layers (:mod:`repro.tao.metrics`, :mod:`repro.tao.attacks`)
-    ride: under the ``codegen`` engine the whole batch is bound at once
-    (one :meth:`~repro.sim.codegen.CodegenDesign.bind_keys`) and swept
-    through lane-vectorized storage, while ``compiled`` and ``interp``
-    degrade to a scalar loop with identical results.  ``result[i]`` is
+    The seam the key-trial layers (:mod:`repro.tao.metrics`,
+    :mod:`repro.attack`) ride: under ``codegen`` the design is built
+    once and every key of the batch runs through the generated code;
+    ``compiled`` and ``interp`` loop their scalar runs.  ``result[i]`` is
     field-identical to ``simulate(..., working_key=working_keys[i])``
     on every engine.
     """
-    from repro.sim.compiled import engine_driver, resolve_engine
+    from repro.sim.engine import engine_driver, resolve_engine
 
-    resolved = resolve_engine(engine)
-    driver = engine_driver(resolved)
-    if driver.run_batch is not None:
-        return driver.run_batch(design, args, arrays, working_keys, max_cycles)
-    return [
-        simulate(
-            design,
-            args,
-            dict(arrays) if arrays else None,
-            working_key=key,
-            max_cycles=max_cycles,
-            engine=resolved,
-        )
-        for key in working_keys
-    ]
+    driver = engine_driver(resolve_engine(engine))
+    return driver.run_batch(design, args, arrays, working_keys, max_cycles)

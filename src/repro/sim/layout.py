@@ -10,6 +10,8 @@ index with pre-resolved transitions, per-state op lists filtered by
 cstep, and per-block DFG variant tables.  :class:`DesignLayout`
 computes all of that **once** per design; the tiers consume it to build
 their own execution artifacts (closures there, Python source here).
+:func:`arith_fn` and :func:`op_fields` are the op-level helpers both
+tiers share.
 
 Keeping the analysis in one place is what keeps the tiers honest: both
 engines agree on slot numbering, wrap elision and transition targets by
@@ -32,7 +34,8 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.hls.controller import StateId
-from repro.hls.design import FsmdDesign
+from repro.hls.design import FsmdDesign, VariantOp
+from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Value
 
@@ -46,20 +49,112 @@ def wrap_fn(type_: IntType) -> Callable[[int], int]:
     return lambda v: ((v + sign) & mask) - sign
 
 
+def arith_fn(
+    opcode: Opcode, operand_types: list[IntType], result_type: IntType
+) -> Optional[Callable]:
+    """One datapath opcode as a closure over Python ints.
+
+    Mirrors :func:`repro.opt.constant_folding.evaluate_op` exactly
+    (including division-by-zero totality, shift-modulo semantics and
+    the operand-type bit masking of the bitwise ops), with the result
+    wrap folded in — the bit-identity contract with the interpreter
+    rests on this correspondence.  The compiled tier runs every
+    datapath op through it; the codegen emitter folds fully-constant
+    ops through it and calls it for DIV/REM.
+    """
+    wrap = wrap_fn(result_type)
+    if opcode is Opcode.ADD:
+        return lambda a, b: wrap(a + b)
+    if opcode is Opcode.SUB:
+        return lambda a, b: wrap(a - b)
+    if opcode is Opcode.MUL:
+        return lambda a, b: wrap(a * b)
+    if opcode is Opcode.DIV:
+
+        def div(a: int, b: int) -> int:
+            if b == 0:
+                return wrap(0)
+            quotient = abs(a) // abs(b)
+            return wrap(-quotient if (a < 0) != (b < 0) else quotient)
+
+        return div
+    if opcode is Opcode.REM:
+
+        def rem(a: int, b: int) -> int:
+            if b == 0:
+                return wrap(0)
+            magnitude = abs(a) % abs(b)
+            return wrap(-magnitude if a < 0 else magnitude)
+
+        return rem
+    if opcode is Opcode.NEG:
+        return lambda a: wrap(-a)
+    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
+        mask0 = (1 << operand_types[0].width) - 1
+        mask1 = (1 << operand_types[1].width) - 1
+        if opcode is Opcode.AND:
+            return lambda a, b: wrap((a & mask0) & (b & mask1))
+        if opcode is Opcode.OR:
+            return lambda a, b: wrap((a & mask0) | (b & mask1))
+        return lambda a, b: wrap((a & mask0) ^ (b & mask1))
+    if opcode is Opcode.NOT:
+        return lambda a: wrap(~a)
+    if opcode in (Opcode.SHL, Opcode.SHR):
+        modulus = max(1, result_type.width)
+        if opcode is Opcode.SHL:
+            return lambda a, b: wrap(a << (b % modulus))
+        if operand_types[0].signed:
+            return lambda a, b: wrap(a >> (b % modulus))
+        mask0 = (1 << operand_types[0].width) - 1
+        return lambda a, b: wrap((a & mask0) >> (b % modulus))
+    if opcode in (Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE):
+        true_value = wrap(1)
+        false_value = wrap(0)
+        if opcode is Opcode.EQ:
+            return lambda a, b: true_value if a == b else false_value
+        if opcode is Opcode.NE:
+            return lambda a, b: true_value if a != b else false_value
+        if opcode is Opcode.LT:
+            return lambda a, b: true_value if a < b else false_value
+        if opcode is Opcode.LE:
+            return lambda a, b: true_value if a <= b else false_value
+        if opcode is Opcode.GT:
+            return lambda a, b: true_value if a > b else false_value
+        return lambda a, b: true_value if a >= b else false_value
+    if opcode is Opcode.MOV:
+        return lambda a: wrap(a)
+    return None
+
+
+def op_fields(op) -> tuple:
+    """``(opcode, result, operands, array_name)`` of a scheduled op or
+    a DFG :class:`VariantOp` — the two shapes a state executes."""
+    if isinstance(op, Instruction):
+        return (
+            op.opcode,
+            op.result,
+            list(op.operands),
+            op.array.name if op.array is not None else None,
+        )
+    assert isinstance(op, VariantOp)
+    return op.opcode, op.result, list(op.operands), op.array_name
+
+
 #: Transition record kinds (first tuple element of a transition spec).
 SEQ = 0
 COND = 1
 
 
 class DesignLayout:
-    """Slot-indexed view of one FSMD design, shared by the fast tiers.
+    """Slot-indexed view of one FSMD design.
 
     Attributes (all read-only by convention):
 
     * ``reg_slots`` / ``n_regs`` — register name → flat slot index;
-    * ``mem_slots`` / ``mem_names`` / ``memory_specs`` — memory name →
-      slot, and per-slot ``(name, array, rom, element_wrap)`` build
-      specs for initial images;
+    * ``mem_slots`` / ``mem_names`` / ``memory_specs`` /
+      ``memory_sizes`` — memory name → slot, per-slot ``(name, array,
+      rom, element_wrap)`` build specs for initial images, and each
+      image's length;
     * ``slot_write_types`` — every :class:`IntType` stored into each
       register slot on any path (baseline schedule, parameters and all
       DFG variants), used for read-side wrap elision;
@@ -94,6 +189,7 @@ class DesignLayout:
             array = memory_binding.array
             rom = design.obfuscated_roms.get(name)
             self.memory_specs.append((name, array, rom, wrap_fn(array.element_type)))
+        self.memory_sizes = [len(memory) for memory in self.initial_memories(None)[0]]
         # --- wrap elision: registers written by exactly one type can
         # be read back without re-wrapping (values are stored wrapped).
         self.slot_write_types = self._collect_write_types()
@@ -238,7 +334,8 @@ def design_fingerprint(design: FsmdDesign) -> tuple:
 
     Every TAO pass grows one of these collections (or the key config),
     so obfuscating a design in place after a baseline simulation
-    rotates the fingerprint and forces a recompile.  Mutating the
+    rotates the fingerprint and forces a rebuild; so does resizing a
+    ROM image (generated code bakes memory sizes in).  Mutating the
     schedule or binding of an already-simulated design in place is not
     detected — build a fresh design (as every repo flow does) instead.
     """
@@ -250,6 +347,7 @@ def design_fingerprint(design: FsmdDesign) -> tuple:
         len(design.controller.transitions),
         design.key_config.working_key_bits,
         design.key_config.correct_working_key,
+        tuple(len(rom.encrypted_image) for rom in design.obfuscated_roms.values()),
     )
 
 

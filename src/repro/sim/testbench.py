@@ -120,11 +120,11 @@ def run_testbench(
 
     The golden interpretation is memoized (see module docstring);
     ``golden_cache=None`` disables the cache for this call.
-    ``engine`` selects the FSMD engine (``"compiled"`` default,
-    ``"codegen"`` batched source generation, ``"interp"`` reference;
-    ``None`` defers to ``$REPRO_SIM_ENGINE``) — the outcome is
-    engine-independent by the determinism contract of
-    :mod:`repro.sim.compiled`.  A one-lane delegation to
+    ``engine`` selects the FSMD engine (``"codegen"`` default,
+    ``"compiled"`` closure plans, ``"interp"`` reference; ``None``
+    defers to ``$REPRO_SIM_ENGINE``)
+    — the outcome is engine-independent by the determinism contract of
+    :mod:`repro.sim.engine`.  A one-lane delegation to
     :func:`run_testbench_batch`, so scalar and batched trials agree by
     construction.
     """
@@ -148,15 +148,14 @@ def run_testbench_batch(
 ) -> list[TestbenchOutcome]:
     """Run one workload under a batch of working keys; compare each lane.
 
-    The golden reference is key-independent, so the batch needs it only
-    once — but with a cache attached the lookup is repeated per lane so
-    cache telemetry (hits per trial) stays identical to running the
-    same keys through scalar :func:`run_testbench` calls; with
-    ``golden_cache=None`` the interpreter runs once and every lane
-    shares the result.  Simulation goes through
-    :func:`repro.sim.fsmd_sim.simulate_batch` — one ``bind_keys`` +
-    sweep under the codegen engine, a scalar loop elsewhere —
-    returning one :class:`TestbenchOutcome` per key, in key order.
+    The golden reference is key-independent, so the batch looks it up
+    once and every lane shares the result; the lookup still counts one
+    cache hit per lane, so cache telemetry stays identical to running
+    the same keys through scalar :func:`run_testbench` calls.  With
+    ``golden_cache=None`` the interpreter runs once for the batch.
+    Simulation goes through :func:`repro.sim.fsmd_sim.simulate_batch`
+    (one ``bind_keys`` per batch under the codegen engine), returning
+    one :class:`TestbenchOutcome` per key, in key order.
     """
     module = design.module
     func_name = design.func.name
@@ -164,6 +163,8 @@ def run_testbench_batch(
     if observed is None:
         observed = default_observed_arrays(module, func_name)
 
+    if not working_keys:
+        return []
     cache = GOLDEN_CACHE if isinstance(golden_cache, _DefaultCache) else golden_cache
     if cache is None:
         golden = Interpreter(module).run(
@@ -172,11 +173,10 @@ def run_testbench_batch(
         golden_bits = output_bit_vector(
             golden.return_value, golden.arrays, observed, module, func_name
         )
-        goldens = [(golden, golden_bits)] * len(working_keys)
     else:
-        goldens = [
-            cache.golden_for(design, bench, observed) for _ in working_keys
-        ]
+        golden, golden_bits = cache.golden_for(
+            design, bench, observed, lanes=len(working_keys)
+        )
     simulated_batch = simulate_batch(
         design,
         bench.args,
@@ -186,7 +186,7 @@ def run_testbench_batch(
         engine=engine,
     )
     outcomes: list[TestbenchOutcome] = []
-    for (golden, golden_bits), simulated in zip(goldens, simulated_batch):
+    for simulated in simulated_batch:
         simulated_bits = output_bit_vector(
             simulated.return_value, simulated.arrays, observed, module, func_name
         )

@@ -11,8 +11,8 @@ Execution rides on :mod:`repro.runtime`: the golden software model is
 memoized per ``(design, testbench)`` (it is key-independent, so a
 100-key campaign interprets it exactly once per workload), wrong keys
 run through the *batched* trial path (:func:`run_key_trials`, lanes
-capped at :data:`KEY_BATCH_LANES`) so the codegen engine can bind and
-sweep whole key batches, and with ``jobs > 1`` the batches fan out
+capped at :data:`KEY_BATCH_LANES`) so the codegen engine binds whole
+key batches at once, and with ``jobs > 1`` the batches fan out
 across worker processes via
 :func:`repro.runtime.campaign.parallel_map`.  All keys are drawn up
 front from the campaign seed and each trial is a pure function of its
@@ -43,7 +43,7 @@ UNCAPPED_CYCLES = DEFAULT_MAX_CYCLES
 WRONG_KEY_CYCLE_FLOOR = 4000
 #: Default lane cap for one batched simulate call: bounds the per-batch
 #: memory (each lane carries private register/memory images) while
-#: keeping batches large enough that the codegen tier's per-batch costs
+#: keeping batches large enough that the codegen engine's per-batch costs
 #: (``bind_keys``, memory setup) amortize.  Tunable per run — explicit
 #: ``key_batch_lanes`` argument / ``ExecutionOptions.key_batch_lanes``,
 #: then ``$REPRO_KEY_BATCH_LANES`` — via :func:`resolve_key_batch_lanes`;
@@ -177,8 +177,8 @@ def run_key_trials(
     A pure function of ``(component, benches, keys, cycle_cap)`` — the
     unit the campaign engine parallelizes, one lane per key.  Each
     workload runs through :func:`run_testbench_batch`, so under the
-    codegen engine the whole key batch is bound once and swept through
-    lane-vectorized storage; per-key aggregation (matches over all
+    codegen engine the whole key batch is bound once and runs through
+    the design's generated code; per-key aggregation (matches over all
     workloads, workload-averaged Hamming fraction, max cycles) is
     order-independent, so the result list matches scalar
     :func:`run_key_trial` calls key for key on every engine.  The
@@ -237,8 +237,8 @@ def _key_batch_worker(shared, key_bits_batch: Sequence[int]):
 
     Each task is a *batch* of locking-key bit patterns (see
     :func:`repro.runtime.campaign.key_batches`), simulated in one
-    :func:`run_key_trials` call so the codegen engine sweeps them as
-    lanes.  Returns ``(trials, cache_delta)``: the worker measures its
+    :func:`run_key_trials` call so the codegen engine binds them at
+    once.  Returns ``(trials, cache_delta)``: the worker measures its
     own cache-counter increments per task so the parent can absorb
     them — trials run in nested pools would otherwise vanish from
     campaign telemetry (the workers' counters die with their
@@ -333,16 +333,14 @@ def validate_component(
     produces the identical report, and the workers' cache counters are
     folded back into this process so telemetry counts every trial.
 
-    ``engine`` selects the FSMD engine for every trial (compiled
-    default / codegen batched / interp reference — the report is
-    engine-independent).  The fast tiers lower the design exactly once
-    per process (``compiled_for`` / ``codegen_for`` memoize on the
-    design object): the compiled plan rebinds per key via a cheap
-    ``bind_key``, while the codegen plan binds each key batch at once
-    (``bind_keys``) and sweeps it through lane-vectorized storage.
-    Nested pool workers each receive the component once through the
-    pool initializer, so they too compile once and share the plan
-    across all their trials.
+    ``engine`` selects the FSMD engine for every trial (codegen
+    default / compiled closure plans / interp reference — the report
+    is engine-independent).  The fast engines build the design exactly
+    once per process (``codegen_for`` / ``compiled_for`` memoize on the
+    design object); the codegen plan binds each key batch at once
+    (``bind_keys``), the compiled plan rebinds per key (``bind_key``).  Nested pool workers each
+    receive the component once through the pool initializer, so they
+    too build once and share the plan across all their trials.
     """
     if n_keys < 2:
         raise ValueError(
@@ -411,7 +409,7 @@ def output_corruptibility(
     """Average output Hamming fraction over the given wrong keys.
 
     All keys run as one batch (one lane each), so the codegen engine
-    binds and sweeps them in a single pass.
+    binds them at once.
     """
     working = [component.working_key_for(key) for key in wrong_keys]
     outcomes = run_testbench_batch(

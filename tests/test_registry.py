@@ -541,13 +541,14 @@ class TestGoldenByteIdentity:
         blocks; neither touches attack-free campaign bytes)."""
         from repro.runtime.campaign import CampaignSpec, run_campaign
 
-        spec = CampaignSpec(
-            benchmarks=("sobel",),
-            n_keys=3,
-            n_workloads=1,
-            seed=7,
-            jobs=1,
-            engine="compiled",
-        )
-        result = run_campaign(spec)
-        assert result.to_json() + "\n" == GOLDEN.read_text()
+        for engine in ("compiled", "codegen"):
+            spec = CampaignSpec(
+                benchmarks=("sobel",),
+                n_keys=3,
+                n_workloads=1,
+                seed=7,
+                jobs=1,
+                engine=engine,
+            )
+            result = run_campaign(spec)
+            assert result.to_json() + "\n" == GOLDEN.read_text(), engine

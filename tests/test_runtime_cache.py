@@ -50,6 +50,26 @@ class TestGoldenCache:
         assert GOLDEN_CACHE.stats.misses == 1
         assert GOLDEN_CACHE.stats.hits == 1
 
+    def test_batch_hashes_once_and_counts_every_lane(self, component, monkeypatch):
+        import repro.runtime.cache as cache_module
+        from repro.sim import run_testbench_batch
+
+        hashed = []
+        original = cache_module.golden_fingerprint
+
+        def counting(module):
+            hashed.append(module)
+            return original(module)
+
+        monkeypatch.setattr(cache_module, "golden_fingerprint", counting)
+        GOLDEN_CACHE.stats.reset()
+        keys = [component.correct_working_key, 123, 456]
+        outcomes = run_testbench_batch(component.design, BENCH, keys, max_cycles=2000)
+        assert len(outcomes) == 3 and outcomes[0].matches
+        assert len(hashed) == 1
+        # Telemetry reads as three scalar lookups: one miss, two hits.
+        assert (GOLDEN_CACHE.stats.misses, GOLDEN_CACHE.stats.hits) == (1, 2)
+
     def test_distinct_workloads_distinct_entries(self, component):
         GOLDEN_CACHE.stats.reset()
         key = component.correct_working_key

@@ -1,25 +1,28 @@
-"""Codegen FSMD engine: the key-batched generated tier.
+"""Codegen FSMD engine: the generated, key-batched default engine.
 
 Covers what the three-way differential suite in test_sim_compiled.py
 does not: batch semantics.  Mixed-fate lane batches (correct /
 wrong-corrupting / timeout keys retiring at different cycles in one
 run_batch call), batch-vs-scalar identity, the bind_keys lifecycle
 (memoization, out-of-table selector KeyError parity with the compiled
-tier, no poisoned memo after a failed bind), the codegen plan cache,
-generated-source introspection, and the key_batches chunking contract
-the campaign runtime feeds the batched trial path with.
+engine, no poisoned memo after a failed bind), the codegen plan cache,
+the default-engine choice, the build bounds (generated source size,
+render-once memo, compile-unit size cap), generated-source
+introspection, and the key_batches chunking contract the campaign
+runtime feeds the batched trial path with.
 """
 
 import functools
 
 import pytest
 
-from repro.benchsuite import get_benchmark
+from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
 from repro.runtime.campaign import key_batches
-from repro.sim import codegen_for, compiled_for, simulate_batch
-from repro.sim.codegen import _CODEGEN_CACHE
+from repro.sim import codegen_for, compiled_for, resolve_engine, simulate_batch
+from repro.sim.codegen import _CODEGEN_CACHE, UNIT_SOURCE_CAP, CodegenDesign
+from repro.sim.engine import ENGINE_ENV
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
 from repro.tao.key import LockingKey
@@ -32,14 +35,8 @@ from repro.tao.metrics import (
 
 
 def result_fields(result):
-    """Every SimulationResult field, as one comparable tuple."""
-    return (
-        result.return_value,
-        result.arrays,
-        result.cycles,
-        result.completed,
-        result.state_trace,
-    )
+    """Every untraced SimulationResult field, as one comparable tuple."""
+    return (result.return_value, result.arrays, result.cycles, result.completed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,6 +91,8 @@ class TestMixedFateBatch:
 
     @pytest.mark.parametrize("trace", (False, True))
     def test_lanes_retire_independently(self, trace):
+        """``trace`` traces the interpreter reference; the codegen batch
+        records no trace and must match every other field."""
         component, workload, correct, corrupting, timeout, budget = (
             _mixed_fate_setup()
         )
@@ -104,7 +103,6 @@ class TestMixedFateBatch:
             dict(workload.arrays),
             working_keys=keys,
             max_cycles=budget,
-            trace=trace,
         )
         assert len(batch) == len(keys)
         scalars = [
@@ -114,7 +112,9 @@ class TestMixedFateBatch:
             for key in keys
         ]
         for lane_result, scalar in zip(batch, scalars):
+            assert lane_result.state_trace == []
             assert result_fields(lane_result) == result_fields(scalar)
+            assert len(scalar.state_trace) == (scalar.cycles if trace else 0)
         # The fates really are mixed: completed-at-budget, retired
         # early with corrupted state, and cut off by the budget.
         assert batch[0].completed and batch[0].cycles == budget
@@ -247,14 +247,74 @@ class TestCodegenPlanCache:
         assert codegen_for(design) is not first
 
 
+class TestDefaultEngine:
+    def test_codegen_is_the_default(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert resolve_engine(None) == "codegen"
+
+
 class TestGeneratedSource:
     def test_state_source_is_inspectable(self):
         component, _ = _obfuscated("gsm", "full")
         plan = codegen_for(component.design)
         entry = plan.layout.entry_idx
         source = plan.state_source(entry)
-        assert source.startswith(f"def _s{entry}(")
-        assert "for lane in lanes" in source
+        # The chain function that holds the entry state, as compiled.
+        assert source.startswith(f"def _c{entry}(R, M, K, n, budget):")
+        assert f"# state {plan.layout.state_names[entry]}" in source
+        assert any(source in unit for unit in plan.unit_sources)
+
+
+#: Generated source per kernel (``full`` preset), in characters.  The
+#: emitter renders each state body once, so the source grows linearly
+#: with the design; the per-state rendering it replaced emitted 1.1 MB
+#: for backprop.
+SOURCE_BOUNDS = {
+    "sobel": 60_000,
+    "viterbi": 100_000,
+    "backprop": 120_000,
+    "gsm": 60_000,
+    "adpcm": 75_000,
+}
+
+
+class TestBuildBounds:
+    """Deterministic bounds on the build: sizes and counts, not timings."""
+
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_generated_source_size(self, bench_name):
+        component, _ = _obfuscated(bench_name, "full")
+        plan = CodegenDesign(component.design)
+        size = sum(len(unit) for unit in plan.unit_sources)
+        assert size <= SOURCE_BOUNDS[bench_name]
+        # Every state's cycle is emitted exactly once.
+        emitted = [
+            line.strip()[len("# state "):]
+            for unit in plan.unit_sources
+            for line in unit.splitlines()
+            if line.strip().startswith("# state ")
+        ]
+        assert sorted(emitted) == sorted(plan.layout.state_names)
+
+    @pytest.mark.parametrize("preset", ("full", "full-rom"))
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_compile_units_stay_under_cap(self, bench_name, preset):
+        """compile() peak memory scales with the unit it is given, so
+        every unit stays under the cap."""
+        component, _ = _obfuscated(bench_name, preset)
+        plan = CodegenDesign(component.design)
+        assert max(len(unit) for unit in plan.unit_sources) <= UNIT_SOURCE_CAP
+
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_each_state_body_renders_once_per_selector(self, bench_name):
+        component, _ = _obfuscated(bench_name, "full")
+        plan = CodegenDesign(component.design)
+        variants = dict(plan._variant_states)
+        bound = sum(
+            len(variants[idx][1]) if idx in variants else 1
+            for idx in range(len(plan.layout.states))
+        )
+        assert 0 < plan.body_renders <= bound
 
 
 class TestKeyBatches:

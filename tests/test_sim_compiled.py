@@ -1,6 +1,6 @@
 """Fast FSMD engines: differential bit-identity of the compiled and
-codegen tiers against the reference interpreter, the engine seam, the
-compile-once cache, and the zero-size-memory regression (all three
+codegen engines against the reference interpreter, the engine seam,
+the compile-once cache, and the zero-size-memory regression (all three
 engines)."""
 
 import functools
@@ -20,28 +20,36 @@ from repro.sim import (
     run_testbench,
     simulate,
 )
-from repro.sim.compiled import DEFAULT_ENGINE, ENGINE_ENV, _COMPILE_CACHE
+from repro.sim.compiled import _COMPILE_CACHE
+from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
 from repro.tao.pipeline import PIPELINE_PRESETS
 
 
+def untraced_fields(result):
+    """Every untraced SimulationResult field, as one comparable tuple."""
+    return (result.return_value, result.arrays, result.cycles, result.completed)
+
+
 def result_fields(result):
     """Every SimulationResult field, as one comparable tuple."""
-    return (
-        result.return_value,
-        result.arrays,
-        result.cycles,
-        result.completed,
-        result.state_trace,
-    )
+    return (*untraced_fields(result), result.state_trace)
 
 
 def assert_identical(design, args, arrays, working_key, max_cycles, trace=False):
-    """Run all three engines on one trial; assert field-identical results."""
+    """Run all three engines on one trial; assert field-identical results.
+
+    The compiled engine records a state trace like the interpreter, so
+    it runs with the same ``trace`` flag and must match every field.
+    The codegen engine records none: it always runs untraced and must
+    match the interpreter on every other field.
+    """
     interp = FsmdSimulator(design, max_cycles=max_cycles, trace=trace).run(
         args, dict(arrays) if arrays else None, working_key
     )
+    if trace:
+        assert len(interp.state_trace) == interp.cycles
     compiled = compiled_for(design).run(
         args,
         dict(arrays) if arrays else None,
@@ -55,9 +63,9 @@ def assert_identical(design, args, arrays, working_key, max_cycles, trace=False)
         dict(arrays) if arrays else None,
         working_key=working_key,
         max_cycles=max_cycles,
-        trace=trace,
     )
-    assert result_fields(interp) == result_fields(codegen)
+    assert codegen.state_trace == []
+    assert untraced_fields(interp) == untraced_fields(codegen)
     return interp
 
 
@@ -70,8 +78,8 @@ def _obfuscated(benchmark: str, preset: str):
 
 
 class TestDifferentialAcrossSuite:
-    """The determinism contract: compiled == interpreted, field by
-    field, on every benchmark x preset pipeline x key class."""
+    """The determinism contract: compiled == generated == interpreted,
+    field by field, on every benchmark x preset pipeline x key class."""
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
     @pytest.mark.parametrize("preset", sorted(PIPELINE_PRESETS))
@@ -157,9 +165,9 @@ class TestEngineSeam:
 
     def test_resolve_engine_default(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine() == DEFAULT_ENGINE == "compiled"
+        assert resolve_engine() == DEFAULT_ENGINE == "codegen"
         monkeypatch.setenv(ENGINE_ENV, "")
-        assert resolve_engine() == "compiled"
+        assert resolve_engine() == "codegen"
 
     def test_resolve_engine_rejects_unknown(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown simulation engine"):
