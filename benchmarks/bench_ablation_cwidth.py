@@ -9,9 +9,10 @@ checks area and working-key growth.
 
 import pytest
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.benchsuite import all_benchmarks
 from repro.rtl import estimate_area
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import resolve_jobs
 from repro.tao import ObfuscationParameters, TaoFlow
 
 C_VALUES = [8, 16, 32, 64]
@@ -79,9 +80,10 @@ def test_correctness_at_every_width(benchmark, capsys):
                 for c in (16, 32)
             ),
             n_keys=2,
-            jobs=resolve_jobs(),
         )
-        return run_campaign(spec)
+        return execute_plan(
+            plan_campaign(spec), ExecutionOptions(jobs=resolve_jobs())
+        )
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for unit in result.units:

@@ -15,12 +15,13 @@ software model once for both.
 
 import pytest
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.evaluation.keymgmt_eval import (
     format_keymgmt,
     generate_keymgmt,
     measure_keymgmt,
 )
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import resolve_jobs
 
 BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 
@@ -60,9 +61,13 @@ def test_key_scheme_axis_campaign(benchmark, capsys):
         benchmarks=("sobel",),
         key_schemes=("replication", "aes"),
         n_keys=4,
-        jobs=resolve_jobs(),
     )
-    result = benchmark.pedantic(run_campaign, args=(spec,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        execute_plan,
+        args=(plan_campaign(spec), ExecutionOptions(jobs=resolve_jobs())),
+        rounds=1,
+        iterations=1,
+    )
     with capsys.disabled():
         for unit in result.units:
             print(

@@ -14,9 +14,10 @@ as every preset.
 
 import pytest
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.benchsuite import get_benchmark
 from repro.rtl import estimate_area
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import resolve_jobs
 from repro.tao import ObfuscationParameters, TaoFlow
 
 ROM_BENCHMARKS = ["adpcm"]  # benchmarks with eligible on-chip ROMs
@@ -63,9 +64,11 @@ def test_rom_extension_functional(benchmark, name, capsys):
             extra_configs=(("rom", (("obfuscate_roms", True),)),),
             n_keys=5,
             seed=1,
-            jobs=resolve_jobs(),
         )
-        return run_campaign(spec).unit(name, config="rom").report
+        result = execute_plan(
+            plan_campaign(spec), ExecutionOptions(jobs=resolve_jobs())
+        )
+        return result.unit(name, config="rom").report
 
     report = benchmark.pedantic(campaign, rounds=1, iterations=1)
     with capsys.disabled():

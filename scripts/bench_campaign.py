@@ -40,7 +40,7 @@ SMOKE_ARGS = [
 ]
 
 
-def run_campaign(cache_dir: Path, out: Path, jobs: int, clear: bool) -> float:
+def time_campaign(cache_dir: Path, out: Path, jobs: int, clear: bool) -> float:
     argv = [
         sys.executable, "-m", "repro", "campaign",
         *SMOKE_ARGS,
@@ -70,8 +70,8 @@ def main(argv: list[str] | None = None) -> int:
 
     cold_json = args.workdir / "bench-campaign-cold.json"
     warm_json = args.workdir / "bench-campaign-warm.json"
-    cold_seconds = run_campaign(args.cache_dir, cold_json, args.jobs, clear=True)
-    warm_seconds = run_campaign(args.cache_dir, warm_json, args.jobs, clear=False)
+    cold_seconds = time_campaign(args.cache_dir, cold_json, args.jobs, clear=True)
+    warm_seconds = time_campaign(args.cache_dir, warm_json, args.jobs, clear=False)
 
     cold = json.loads(cold_json.read_text())
     warm = json.loads(warm_json.read_text())

@@ -20,8 +20,7 @@ releases; this module is the supported import surface:
 The split mirrors the service architecture: :func:`plan_campaign` is
 pure (spec → deterministic unit enumeration with content-addressed
 unit ids), :func:`execute_plan` is the fault-tolerant service core
-(checkpointing, resume, per-unit timeout, bounded retry), and
-:func:`run_campaign` the legacy one-shot wrapper over both.
+(checkpointing, resume, per-unit timeout, bounded retry).
 :func:`resolve_pipeline` and :func:`resolve_engine` resolve the two
 label-valued axes (obfuscation pipeline, simulation engine) exactly
 the way the CLI does.  :func:`run_attack` / :func:`attack_names` are
@@ -42,7 +41,6 @@ _EXPORTS = {
     "CampaignPlan": "repro.runtime.campaign",
     "CampaignSpec": "repro.runtime.campaign",
     "plan_campaign": "repro.runtime.campaign",
-    "run_campaign": "repro.runtime.campaign",
     "ExecutionOptions": "repro.runtime.executor",
     "execute_plan": "repro.runtime.executor",
     "resolve_pipeline": "repro.tao.pipeline",

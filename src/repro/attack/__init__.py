@@ -20,9 +20,7 @@ capability kind and swept as a campaign axis (``repro campaign
   :func:`run_attack` funnel.
 
 Importing this package registers every builtin attack (it is the
-``attack`` entry of ``repro.registry._BUILTIN_SOURCES``).  The legacy
-module :mod:`repro.tao.attacks` re-exports everything here for
-back-compat.
+``attack`` entry of ``repro.registry._BUILTIN_SOURCES``).
 """
 
 from repro.attack.contract import (

@@ -356,7 +356,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         CampaignSpec,
         resolve_jobs,
     )
-    from repro.tao.pipeline import PIPELINE_PRESETS, resolve_pipeline
+    from repro.registry import REGISTRY
+    from repro.tao.pipeline import resolve_pipeline
 
     error = _campaign_size_error(args.keys, args.workloads)
     if error:
@@ -409,8 +410,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"--pipeline {label}: {error}", file=sys.stderr)
             print(
                 f"available: {PIPELINE_FROM_PARAMS} (config booleans), "
-                f"presets {', '.join(PIPELINE_PRESETS)}, or a comma-"
-                "separated stage list",
+                f"presets {', '.join(REGISTRY.names('pipeline-preset'))}, "
+                "or a comma-separated stage list",
                 file=sys.stderr,
             )
             return 2
@@ -613,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  follows the stages that actually run.  Each unit's JSON\n"
             "  records its pipeline label and per-stage StageReport\n"
             "  blocks (ops touched, key bits consumed) in the\n"
-            "  repro.campaign/5 schema; v1-v4 documents upgrade on\n"
-            "  load.\n"
+            "  repro.campaign/5 schema.\n"
             "\n"
             "resumable execution (--checkpoint-dir / --resume /\n"
             "--unit-timeout / --max-retries):\n"
@@ -721,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--config",
         action="append",
-        help="parameter config(s) to sweep; see repro.runtime.campaign."
-        "PRESET_CONFIGS (repeatable; default: default)",
+        help="parameter config(s) to sweep; see 'repro list config' "
+        "(repeatable; default: default)",
     )
     campaign.add_argument("--keys", type=int, default=20)
     campaign.add_argument("--workloads", type=int, default=1)
@@ -737,16 +737,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--key-scheme",
         action="append",
-        choices=("replication", "aes"),
-        help="key-management scheme(s) to sweep (paper §3.4; repeatable; "
-        "default: replication)",
+        help="key-management scheme(s) to sweep (paper §3.4; see "
+        "'repro list key-scheme'; repeatable; default: replication)",
     )
     campaign.add_argument(
         "--budget",
         action="append",
-        help="resource-budget preset(s) to sweep; see "
-        "repro.runtime.campaign.PRESET_BUDGETS (repeatable; default: "
-        "default; incl. mul-tight and mem-tight)",
+        help="resource-budget preset(s) to sweep; see 'repro list "
+        "budget' (repeatable; default: default; incl. mul-tight and "
+        "mem-tight)",
     )
     campaign.add_argument(
         "--pipeline",

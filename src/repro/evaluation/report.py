@@ -3,10 +3,10 @@ single markdown document (the machine-generated companion to
 EXPERIMENTS.md).
 
 Also the consumer of the unified campaign JSON (``repro.campaign/5``,
-see :mod:`repro.runtime.results`; v1–v4 documents are upgraded on
-load): :func:`format_campaign` renders a
+see :mod:`repro.runtime.results`): :func:`format_campaign` renders a
 :class:`~repro.runtime.results.CampaignResult` — produced by
-``repro campaign -o results.json`` or :func:`run_campaign` — as a
+``repro campaign -o results.json`` or
+:func:`repro.runtime.executor.execute_plan` — as a
 markdown section with one column per sweep axis (config, key scheme,
 resource budget, pipeline) plus an aggregate per-stage telemetry
 table (ops touched / key bits per pipeline stage), and
@@ -152,7 +152,7 @@ def _format_stage_telemetry(result: "CampaignResult") -> list[str]:
 
     Sums ops touched and key bits consumed per stage name over every
     unit that ran it; empty when no unit carries stage telemetry
-    (e.g. documents upgraded from pre-pipeline schema versions).
+    (e.g. a campaign whose units all failed).
     """
     totals: dict[str, dict[str, int]] = {}
     phases: dict[str, str] = {}

@@ -10,15 +10,14 @@ results schema.
   (``CampaignSpec`` / ``plan_campaign`` → ``CampaignPlan``;
   axes: benchmark × config × key scheme × resource budget ×
   obfuscation pipeline) plus the shared fan-out primitives
-  (``parallel_map`` / ``key_batches``) and the legacy
-  ``run_campaign`` wrapper;
+  (``parallel_map`` / ``key_batches``);
 * :mod:`repro.runtime.executor` — the fault-tolerant campaign service
   (``execute_plan`` under an ``ExecutionOptions`` bundle: persistent
   killable workers, per-unit timeout, bounded retry, checkpointing);
 * :mod:`repro.runtime.checkpoint` — content-addressed unit identity
   and the atomic per-unit ``CheckpointStore`` behind ``--resume``;
 * :mod:`repro.runtime.results` — the ``repro.campaign/5`` JSON schema
-  (upgrades ``/1``–``/3`` documents on load).
+  (other schema versions are rejected on load).
 
 Only the cache layer is imported eagerly; campaign and results symbols
 are re-exported lazily because they sit above the ``tao`` layer in the
@@ -51,18 +50,13 @@ from repro.runtime.cache import (
 _LAZY = {
     "CampaignPlan": "repro.runtime.campaign",
     "CampaignSpec": "repro.runtime.campaign",
-    "CONFIG_PIPELINES": "repro.runtime.campaign",
-    "KEY_SCHEMES": "repro.runtime.campaign",
     "PIPELINE_FROM_PARAMS": "repro.runtime.campaign",
     "PlannedUnit": "repro.runtime.campaign",
-    "PRESET_BUDGETS": "repro.runtime.campaign",
-    "PRESET_CONFIGS": "repro.runtime.campaign",
     "budget_constraints": "repro.runtime.campaign",
     "derive_seed": "repro.runtime.campaign",
     "parallel_map": "repro.runtime.campaign",
     "plan_campaign": "repro.runtime.campaign",
     "resolve_jobs": "repro.runtime.campaign",
-    "run_campaign": "repro.runtime.campaign",
     "CheckpointStore": "repro.runtime.checkpoint",
     "spec_fingerprint": "repro.runtime.checkpoint",
     "unit_identity": "repro.runtime.checkpoint",

@@ -6,13 +6,14 @@ benchmark × parameter configurations.  This module turns that shape
 into an explicit multi-axis engine:
 
 * :class:`CampaignSpec` declares the sweep — benchmarks, named
-  parameter configs (:data:`PRESET_CONFIGS`), key-management schemes
-  (paper §3.4), named resource budgets (:data:`PRESET_BUDGETS`),
-  obfuscation pipelines (``pipelines``: FlowSpec preset names or
-  comma-separated stage lists, see :mod:`repro.tao.pipeline`; the
-  default sentinel :data:`PIPELINE_FROM_PARAMS` derives the stage set
-  from each config's ``ObfuscationParameters`` booleans, i.e. legacy
-  behaviour), key count, workloads and worker count;
+  parameter configs (``REGISTRY.names("config")``), key-management
+  schemes (paper §3.4), named resource budgets
+  (``REGISTRY.names("budget")``), obfuscation pipelines
+  (``pipelines``: FlowSpec preset names or comma-separated stage
+  lists, see :mod:`repro.tao.pipeline`; the default sentinel
+  :data:`PIPELINE_FROM_PARAMS` derives the stage set from each
+  config's ``ObfuscationParameters`` booleans), key count and
+  workloads;
 * :func:`plan_campaign` turns a spec into a :class:`CampaignPlan` — a
   pure, deterministic enumeration of :class:`PlannedUnit` entries
   (benchmark × config × key scheme × budget × pipeline), each with
@@ -26,8 +27,6 @@ into an explicit multi-axis engine:
   holding the unified ``repro.campaign/5`` JSON document (per-unit
   pipeline label, per-stage ``StageReport`` blocks, and per-unit
   ``status``/``attempts``);
-* :func:`run_campaign` is the legacy one-shot entry point, kept as a
-  thin plan-then-execute wrapper;
 * :func:`parallel_map` is the shared fan-out primitive (also used by
   ``repro.tao.metrics.validate_component`` for key-level parallelism)
   and :func:`key_batches` the shared batching contract: workers are
@@ -64,21 +63,16 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
-from collections.abc import MutableMapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
-from repro.registry import REGISTRY, CapabilityView
+from repro.registry import REGISTRY
 
 _T = TypeVar("_T")
 
-#: Named parameter configurations for sweeps (mirrors the Figure 6
-#: ablation axes: each obfuscation in isolation plus the full flow).
-#: A live view over the ``"config"`` kind of the capability registry —
-#: plugin-registered configs appear here too.
-PRESET_CONFIGS: MutableMapping = CapabilityView(REGISTRY, "config")
-
+# Named parameter configurations for sweeps (mirrors the Figure 6
+# ablation axes: each obfuscation in isolation plus the full flow).
 for _name, _overrides, _desc in (
     ("default", {}, "full flow: all obfuscations at their defaults"),
     (
@@ -101,42 +95,22 @@ for _name, _overrides, _desc in (
 del _name, _overrides, _desc
 
 #: Pipeline-axis sentinel: derive the stage set from the unit's
-#: ``ObfuscationParameters`` booleans (the legacy behaviour every
-#: pre-pipeline campaign ran).  Any other pipeline label is resolved
+#: ``ObfuscationParameters`` booleans.  Any other pipeline label is resolved
 #: by :func:`repro.tao.pipeline.resolve_pipeline` (preset name or
 #: comma-separated stage list) and *overrides* the config's stage
 #: booleans — the config then only contributes numeric parameters.
 PIPELINE_FROM_PARAMS = "params"
 
-#: The FlowSpec preset equivalent of each :data:`PRESET_CONFIGS`
-#: entry: running a config through its pipeline preset produces a
-#: byte-identical design (asserted in tests/test_tao_pipeline.py).
-CONFIG_PIPELINES: dict[str, str] = {
-    "default": "full",
-    "branches-only": "branches",
-    "constants-only": "constants",
-    "dfg-only": "dfg",
-}
-
-#: Working-key management schemes (paper §3.4): locking-key replication
-#: versus AES power-up decryption of an NVM-stored working key.
-#: Snapshot of the builtin ``"key-scheme"`` registrations
-#: (:mod:`repro.tao.keymgmt`); plugin schemes resolve by name through
-#: the registry everywhere scheme names are accepted.
-KEY_SCHEMES: tuple[str, ...] = REGISTRY.names("key-scheme")
-
-#: Named resource-constraint presets for the budget axis.  Each preset
-#: is ``None`` (the scheduler's default ``ResourceConstraints``) or a
-#: dict whose ``"limits"`` entry holds per-FU-kind instance caps (keys
-#: are ``FUKind`` values) and whose other entries set
-#: ``ResourceConstraints`` fields by name (e.g. ``memory_ports``,
-#: ``shared_memory_port``) — validated against the dataclass, so a
-#: typo fails loudly at preset resolution.  ``tight``/``loose`` mirror
-#: the A3 ablation's adder/logic budgets; ``mul-tight`` starves the
-#: multiply/divide datapath and ``mem-tight`` banks every array behind
-#: one shared memory port.
-PRESET_BUDGETS: MutableMapping = CapabilityView(REGISTRY, "budget")
-
+# Named resource-constraint presets for the budget axis.  Each preset
+# is ``None`` (the scheduler's default ``ResourceConstraints``) or a
+# dict whose ``"limits"`` entry holds per-FU-kind instance caps (keys
+# are ``FUKind`` values) and whose other entries set
+# ``ResourceConstraints`` fields by name (e.g. ``memory_ports``,
+# ``shared_memory_port``) — validated against the dataclass, so a
+# typo fails loudly at preset resolution.  ``tight``/``loose`` mirror
+# the A3 ablation's adder/logic budgets; ``mul-tight`` starves the
+# multiply/divide datapath and ``mem-tight`` banks every array behind
+# one shared memory port.
 for _name, _limits, _desc in (
     ("default", None, "the scheduler's default ResourceConstraints"),
     ("tight", {"limits": {"addsub": 1, "logic": 1}}, "one adder, one logic unit (A3)"),
@@ -153,7 +127,7 @@ del _name, _limits, _desc
 
 
 def budget_constraints(budget: str):
-    """``ResourceConstraints`` for a :data:`PRESET_BUDGETS` name.
+    """``ResourceConstraints`` for a registered ``"budget"`` name.
 
     Returns ``None`` for the default budget (the scheduler applies its
     own defaults).  Unknown budget names raise the registry's uniform
@@ -248,8 +222,10 @@ def key_batches(
 ) -> list[list[_T]]:
     """Split ``items`` into deterministic contiguous batches.
 
-    The batching contract of the key-trial fan-out: at least ``jobs``
-    batches (so every worker gets work), no batch larger than
+    The batching contract of the key-trial fan-out: exactly
+    ``min(len(items), max(jobs, ceil(len(items) / max_lanes)))``
+    batches whose sizes differ by at most one (so every worker gets
+    work), no batch larger than
     ``max_lanes`` (bounding per-batch lane storage), and batch
     boundaries that depend only on ``(len(items), jobs, max_lanes)`` —
     never on scheduling — so a batched campaign's results and order
@@ -260,8 +236,13 @@ def key_batches(
     if not items:
         return []
     n_batches = min(len(items), max(jobs, -(-len(items) // max_lanes)))
-    size = -(-len(items) // n_batches)
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    size, extra = divmod(len(items), n_batches)
+    batches, start = [], 0
+    for index in range(n_batches):
+        stop = start + size + (index < extra)
+        batches.append(items[start:stop])
+        start = stop
+    return batches
 
 
 def parallel_map(
@@ -301,23 +282,17 @@ class CampaignSpec:
 
     Five sweep axes multiply into units: ``benchmarks`` ×
     ``configs`` × ``key_schemes`` × ``resource_budgets`` ×
-    ``pipelines``.  ``configs`` names entries of
-    :data:`PRESET_CONFIGS` (or keys of ``extra_configs`` for ad-hoc
-    parameter overrides), ``key_schemes`` names entries of
-    :data:`KEY_SCHEMES`, ``resource_budgets`` entries of
-    :data:`PRESET_BUDGETS`, and ``pipelines`` holds FlowSpec labels —
-    preset names, comma-separated stage lists, or the
+    ``pipelines``.  ``configs``, ``key_schemes`` and
+    ``resource_budgets`` name entries of the ``"config"``,
+    ``"key-scheme"`` and ``"budget"`` registry kinds (``configs`` may
+    also name keys of ``extra_configs`` for ad-hoc parameter
+    overrides), and ``pipelines`` holds FlowSpec labels — preset
+    names, comma-separated stage lists, or the
     :data:`PIPELINE_FROM_PARAMS` sentinel (default) meaning "stages
-    from the config's parameter booleans".  ``jobs`` and ``engine``
-    are execution knobs only: they are deliberately excluded from the
-    serialized spec so parallel-vs-serial and generated-vs-interpreted
-    runs emit identical JSON.  ``engine`` selects the FSMD simulation
-    engine for every trial (``"codegen"`` / ``"compiled"`` /
-    ``"interp"``; ``None`` defers to ``$REPRO_SIM_ENGINE``, default
-    codegen) — see :mod:`repro.sim.engine` for the determinism
-    contract.  Trials flow through the batched key-trial path either
-    way (:func:`key_batches` chunks, one simulated lane per key); only
-    the codegen engine binds a whole batch at once.
+    from the config's parameter booleans".  How the plan runs
+    (workers, engine, ...) is not part of the spec: it rides on
+    :class:`~repro.runtime.executor.ExecutionOptions`, so serial,
+    parallel and cross-engine runs of one spec emit identical JSON.
 
     ``extra_configs`` is normalized on construction (entries and their
     override items are sorted), so a spec rebuilt from ``to_dict()``
@@ -332,8 +307,6 @@ class CampaignSpec:
     n_keys: int = 20
     n_workloads: int = 1
     seed: int = 7
-    jobs: int = 1
-    engine: Optional[str] = None
     extra_configs: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...] = ()
     #: Registered attack names to run against every unit's component
     #: (after key validation).  Not a multiplicative axis: each attack
@@ -456,8 +429,6 @@ class CampaignPlan:
     serialized spec and the results schema): two plans share a
     fingerprint iff they serialize to the same spec under the same
     schema, so resume can never mix units from different campaigns.
-    Execution knobs (``jobs``, ``engine``) are excluded from the
-    serialized spec and therefore from the fingerprint.
     """
 
     spec: CampaignSpec
@@ -474,7 +445,7 @@ class CampaignPlan:
 def plan_campaign(spec: CampaignSpec) -> CampaignPlan:
     """Enumerate ``spec`` into a deterministic :class:`CampaignPlan`.
 
-    Pure: no I/O, no execution, no dependence on ``jobs``/``engine``.
+    Pure: no I/O, no execution, no dependence on execution options.
     Unit order is the spec's axis-product order (stable across
     processes and machines), each unit's seed is derived from the base
     seed plus its axis labels, and each workload seed from the
@@ -539,65 +510,16 @@ def _spec_from_dict(data: dict[str, Any]) -> CampaignSpec:
     return CampaignSpec(
         benchmarks=tuple(data["benchmarks"]),
         configs=tuple(data["configs"]),
-        key_schemes=tuple(data.get("key_schemes", ("replication",))),
-        resource_budgets=tuple(data.get("resource_budgets", ("default",))),
-        pipelines=tuple(data.get("pipelines", (PIPELINE_FROM_PARAMS,))),
+        key_schemes=tuple(data["key_schemes"]),
+        resource_budgets=tuple(data["resource_budgets"]),
+        pipelines=tuple(data["pipelines"]),
         n_keys=data["n_keys"],
         n_workloads=data["n_workloads"],
         seed=data["seed"],
         extra_configs=tuple(
             (name, tuple(overrides.items()))
-            for name, overrides in data.get("extra_configs", {}).items()
+            for name, overrides in data["extra_configs"].items()
         ),
         attacks=tuple(data.get("attacks", ())),
     )
 
-
-#: One-per-process flag for the legacy-kwargs deprecation notice in
-#: :func:`run_campaign` (module-level so tests can reset it).
-_LEGACY_KNOBS_WARNED = False
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    collect_cache_stats: bool = False,
-    options: Optional[Any] = None,
-):
-    """Legacy one-shot entry point: plan ``spec``, execute it, return
-    the :class:`~repro.runtime.results.CampaignResult`.
-
-    Thin back-compat wrapper over the plan/execute split — equivalent
-    to ``execute_plan(plan_campaign(spec), options)``.  When no
-    ``options`` are given, the execution knobs still riding on the
-    spec (``spec.jobs``, ``spec.engine``) and the
-    ``collect_cache_stats`` flag are lifted into an
-    :class:`~repro.runtime.executor.ExecutionOptions`; passing
-    execution knobs that way is deprecated (one ``DeprecationWarning``
-    per process) — new code should call
-    :func:`~repro.runtime.executor.execute_plan` with explicit
-    options.  Results are byte-identical either way: the fan-out
-    strategy, cache telemetry and determinism contract live in
-    :func:`~repro.runtime.executor.execute_plan` now.
-    """
-    from repro.runtime.executor import ExecutionOptions, execute_plan
-
-    global _LEGACY_KNOBS_WARNED
-    if options is None:
-        if (
-            spec.jobs != 1 or spec.engine is not None or collect_cache_stats
-        ) and not _LEGACY_KNOBS_WARNED:
-            _LEGACY_KNOBS_WARNED = True
-            warnings.warn(
-                "passing execution knobs (jobs/engine/collect_cache_stats) "
-                "through run_campaign is deprecated; use "
-                "plan_campaign(spec) + execute_plan(plan, "
-                "ExecutionOptions(...)) from repro.api",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        options = ExecutionOptions(
-            jobs=max(1, spec.jobs),
-            engine=spec.engine,
-            collect_cache_stats=collect_cache_stats,
-        )
-    return execute_plan(plan_campaign(spec), options)

@@ -63,31 +63,6 @@ split (``hits`` = in-process L1, ``l2_hits`` = disk, ``misses`` =
 computed) — is likewise confined to the ``cache`` block: warm and
 cold runs of one spec differ only there, never in a result field, so
 cached campaigns stay byte-comparable.
-
-Version history: ``repro.campaign/1`` had (benchmark × config) units
-and a scalar ``key_scheme`` in the spec.  ``/2`` added the key-scheme
-and resource-budget axes, per-unit ``workload_seed``, and the ``axes``
-label block.  ``/3`` added the obfuscation-pipeline axis (per-unit
-``pipeline`` label; ``"params"`` = stages derived from the config's
-parameter booleans) and the per-stage ``stages`` telemetry blocks.
-``/4`` adds per-unit execution state from the fault-tolerant executor:
-``status`` (``"ok"`` or ``"failed"``), the ``attempts`` count, and —
-for failed units only — an ``error`` string in place of the
-``report`` block (a unit that exhausts its retries is recorded, not
-dropped).  ``/5`` structures the per-unit ``attacks`` blocks under
-the attack result contract (:mod:`repro.attack.contract`): every
-block carries ``name``, ``applicable``, a deterministic ``cost``
-block (``oracle_queries``/``simulated_trials``/``iterations``) and an
-attack-specific ``outcome`` dict (plus ``reason`` when inapplicable),
-instead of the ad-hoc flat dicts v4 adapters returned.
-:meth:`CampaignResult.from_dict` upgrades old documents on load — v1
-chains through the v2 shape (scalar scheme → one-element axis,
-default budget), v2 documents gain the default pipeline axis with
-empty stage telemetry (legacy runs recorded none), v3 units upgrade
-as ``status: "ok"``/``attempts: 1`` (pre-executor engines aborted on
-any failure, so every recorded unit had completed first try), and v4
-attack blocks lift into the structured shape with a zero cost block
-(legacy adapters recorded no cost model).
 """
 
 from __future__ import annotations
@@ -101,10 +76,6 @@ from repro.tao.key import LockingKey
 from repro.tao.metrics import KeyTrialResult, ValidationReport
 
 SCHEMA = "repro.campaign/5"
-SCHEMA_V4 = "repro.campaign/4"
-SCHEMA_V3 = "repro.campaign/3"
-SCHEMA_V2 = "repro.campaign/2"
-SCHEMA_V1 = "repro.campaign/1"
 
 #: Human-readable unit label per sweep axis, embedded in every document
 #: so downstream renderers can annotate columns without hard-coding.
@@ -191,8 +162,7 @@ class CampaignUnit:
     ``stages`` holds the unit's deterministic per-stage telemetry
     (``StageReport.to_dict`` without timing): one dict per executed
     pipeline stage with ``stage``/``phase``/``ops_touched``/
-    ``key_bits_consumed``.  Legacy documents upgrade with an empty
-    list (they recorded none).
+    ``key_bits_consumed``.
 
     ``status``/``attempts`` record the fault-tolerant executor's view
     of the unit: ``"ok"`` units completed (``report`` present), while
@@ -255,16 +225,16 @@ class CampaignUnit:
         return cls(
             benchmark=data["benchmark"],
             config=data["config"],
-            key_scheme=data.get("key_scheme", "replication"),
-            budget=data.get("budget", "default"),
-            pipeline=data.get("pipeline", "params"),
+            key_scheme=data["key_scheme"],
+            budget=data["budget"],
+            pipeline=data["pipeline"],
             params=dict(data["params"]),
             seed=data["seed"],
-            workload_seed=data.get("workload_seed"),
-            status=data.get("status", "ok"),
-            attempts=data.get("attempts", 1),
+            workload_seed=data["workload_seed"],
+            status=data["status"],
+            attempts=data["attempts"],
             error=data.get("error"),
-            stages=[dict(stage) for stage in data.get("stages", [])],
+            stages=[dict(stage) for stage in data["stages"]],
             attacks={
                 name: dict(block)
                 for name, block in data.get("attacks", {}).items()
@@ -275,122 +245,6 @@ class CampaignUnit:
                 else None
             ),
         )
-
-
-def _upgrade_v1(data: dict[str, Any]) -> dict[str, Any]:
-    """Lift a ``repro.campaign/1`` document to the ``/2`` shape
-    (then :func:`_upgrade_v2` chains it the rest of the way).
-
-    v1 units carried no per-axis labels; the spec's scalar
-    ``key_scheme`` applies to every unit and the budget axis did not
-    exist yet (all v1 campaigns ran the scheduler defaults).
-    """
-    spec = dict(data.get("spec", {}))
-    scheme = spec.pop("key_scheme", "replication")
-    spec.setdefault("key_schemes", [scheme])
-    spec.setdefault("resource_budgets", ["default"])
-    return {
-        "schema": SCHEMA_V2,
-        "spec": spec,
-        "units": [
-            {**unit, "key_scheme": scheme, "budget": "default"}
-            for unit in data.get("units", [])
-        ],
-        **({"cache": data["cache"]} if "cache" in data else {}),
-    }
-
-
-def _upgrade_v2(data: dict[str, Any]) -> dict[str, Any]:
-    """Lift a ``repro.campaign/2`` document to the ``/3`` shape
-    (then :func:`_upgrade_v3` chains it the rest of the way).
-
-    v2 campaigns always derived their stage set from the config's
-    parameter booleans (the ``"params"`` pipeline) and recorded no
-    stage telemetry, so units upgrade with ``pipeline: "params"`` and
-    an empty ``stages`` block.
-    """
-    spec = dict(data.get("spec", {}))
-    spec.setdefault("pipelines", ["params"])
-    return {
-        "schema": SCHEMA_V3,
-        "spec": spec,
-        "units": [
-            {"pipeline": "params", "stages": [], **unit}
-            for unit in data.get("units", [])
-        ],
-        **({"cache": data["cache"]} if "cache" in data else {}),
-    }
-
-
-def _upgrade_v3(data: dict[str, Any]) -> dict[str, Any]:
-    """Lift a ``repro.campaign/3`` document to the ``/4`` shape
-    (then :func:`_upgrade_v4` chains it the rest of the way).
-
-    Pre-executor engines aborted the whole campaign on any unit
-    failure, so every unit a v3 document records necessarily completed
-    on its first and only attempt: units upgrade as ``status: "ok"``
-    with ``attempts: 1``.
-    """
-    return {
-        "schema": SCHEMA_V4,
-        "spec": dict(data.get("spec", {})),
-        "units": [
-            {"status": "ok", "attempts": 1, **unit}
-            for unit in data.get("units", [])
-        ],
-        **({"cache": data["cache"]} if "cache" in data else {}),
-    }
-
-
-def _structured_attack_block(name: str, block: dict[str, Any]) -> dict[str, Any]:
-    """Lift one legacy (v4) flat attack dict into the contract shape.
-
-    v4 adapters returned ad-hoc payloads with an ``applicable`` flag
-    and no cost model; the payload becomes the ``outcome`` block and
-    the cost counters upgrade as zero (the honest value — legacy runs
-    recorded none).  Blocks already carrying the structured keys pass
-    through unchanged (idempotent on re-upgrade).
-    """
-    if {"name", "applicable", "cost", "outcome"} <= set(block):
-        return dict(block)
-    rest = dict(block)
-    applicable = bool(rest.pop("applicable", True))
-    reason = rest.pop("reason", None)
-    lifted: dict[str, Any] = {
-        "name": name,
-        "applicable": applicable,
-        "cost": {"oracle_queries": 0, "simulated_trials": 0, "iterations": 0},
-        "outcome": rest if applicable else {},
-    }
-    if not applicable:
-        lifted["reason"] = str(reason) if reason else "not applicable"
-    return lifted
-
-
-def _upgrade_v4(data: dict[str, Any]) -> dict[str, Any]:
-    """Lift a ``repro.campaign/4`` document to the ``/5`` shape.
-
-    Only the per-unit ``attacks`` blocks change: each legacy flat
-    attack dict is lifted into the structured name/cost/outcome shape
-    of :mod:`repro.attack.contract` (see
-    :func:`_structured_attack_block`); attack-free units are
-    byte-identical under both schemas.
-    """
-    units = []
-    for unit in data.get("units", []):
-        unit = dict(unit)
-        if unit.get("attacks"):
-            unit["attacks"] = {
-                name: _structured_attack_block(name, block)
-                for name, block in unit["attacks"].items()
-            }
-        units.append(unit)
-    return {
-        "schema": SCHEMA,
-        "spec": dict(data.get("spec", {})),
-        "units": units,
-        **({"cache": data["cache"]} if "cache" in data else {}),
-    }
 
 
 @dataclass
@@ -455,23 +309,11 @@ class CampaignResult:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignResult":
         schema = data.get("schema")
-        if schema == SCHEMA_V1:
-            data = _upgrade_v1(data)
-            schema = data["schema"]
-        if schema == SCHEMA_V2:
-            data = _upgrade_v2(data)
-            schema = data["schema"]
-        if schema == SCHEMA_V3:
-            data = _upgrade_v3(data)
-            schema = data["schema"]
-        if schema == SCHEMA_V4:
-            data = _upgrade_v4(data)
-            schema = data["schema"]
         if schema != SCHEMA:
             raise ValueError(
-                f"unsupported campaign schema {schema!r} (expected "
-                f"{SCHEMA!r} or upgradable {SCHEMA_V4!r}/{SCHEMA_V3!r}/"
-                f"{SCHEMA_V2!r}/{SCHEMA_V1!r})"
+                f"unsupported campaign schema {schema!r}: this version "
+                f"reads {SCHEMA!r} only; re-run the campaign to "
+                f"regenerate the document"
             )
         return cls(
             spec=dict(data["spec"]),

@@ -11,7 +11,6 @@ from repro.sim.compiled import CompiledDesign, compiled_for
 from repro.sim.engine import (
     DEFAULT_ENGINE,
     ENGINE_ENV,
-    ENGINES,
     EngineDriver,
     engine_driver,
     resolve_engine,
@@ -42,7 +41,6 @@ from repro.sim.testbench import (
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV",
-    "ENGINES",
     "CodegenDesign",
     "CompiledDesign",
     "EngineDriver",

@@ -97,12 +97,6 @@ for _driver in (
     )
 del _driver
 
-#: Known engines, in registration order.  Snapshot of the builtin
-#: registrations; plugin engines appear through :func:`engine_driver`
-#: / ``repro list``, not this tuple.
-ENGINES = tuple(REGISTRY.names("engine"))
-
-
 def engine_driver(name: str) -> EngineDriver:
     """The registered :class:`EngineDriver` called ``name`` (plugins
     loaded first), with the uniform unknown-capability error."""

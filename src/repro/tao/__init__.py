@@ -6,18 +6,6 @@ a :class:`FlowSpec` (ordered stage names + per-stage options) resolved
 against the stage registry drives :class:`TaoFlow`, and every executed
 stage reports :class:`StageReport` telemetry."""
 
-from repro.tao.attacks import (
-    KeySensitivityResult,
-    RandomKeyAttackResult,
-    ReplicationLeakResult,
-    SliceBruteForceResult,
-    attack_names,
-    brute_force_slice_with_oracle,
-    key_sensitivity_analysis,
-    random_key_attack,
-    replication_leak_analysis,
-    run_attack,
-)
 from repro.tao.branch_pass import mask_branches
 from repro.tao.constants_pass import obfuscate_constants
 from repro.tao.dfg_variants import (
@@ -41,7 +29,6 @@ from repro.tao.keymgmt import (
     choose_working_key,
 )
 from repro.tao.pipeline import (
-    PIPELINE_PRESETS,
     FlowContext,
     FlowSpec,
     Stage,
@@ -68,26 +55,19 @@ __all__ = [
     "FlowContext",
     "FlowSpec",
     "KeyApportionment",
-    "PIPELINE_PRESETS",
     "Stage",
     "StageReport",
-    "KeySensitivityResult",
     "KeyManagementOverhead",
     "KeyTrialResult",
     "LockingKey",
     "ObfuscatedComponent",
     "ObfuscationParameters",
-    "RandomKeyAttackResult",
-    "ReplicationLeakResult",
-    "SliceBruteForceResult",
     "ReplicationKeyManager",
     "RomObfuscation",
     "TaoFlow",
     "ValidationReport",
     "apportion_keys",
-    "attack_names",
     "available_stages",
-    "brute_force_slice_with_oracle",
     "build_report",
     "generate_wrong_keys",
     "run_key_trial",
@@ -98,18 +78,14 @@ __all__ = [
     "extractable_constants",
     "get_stage",
     "hamming_distance",
-    "key_sensitivity_analysis",
     "mask_branches",
     "obfuscate_constants",
     "obfuscate_dfgs",
     "obfuscate_rom_contents",
     "obfuscate_source",
     "output_corruptibility",
-    "random_key_attack",
     "register_stage",
-    "replication_leak_analysis",
     "resolve_pipeline",
-    "run_attack",
     "validate_component",
     "variant_divergence",
 ]

@@ -2,7 +2,7 @@
 contract and its validating funnel, the oracle-guided key-recovery
 attacker (including the paper's central pruning asymmetry), the
 hill-climbing attacker, brute-force resistance curves, and the
-back-compat shim in repro.tao.attacks."""
+``repro.api`` facade over them."""
 
 import json
 
@@ -308,14 +308,7 @@ class TestAdapters:
         assert result["cost"]["oracle_queries"] == 0
 
 
-class TestBackCompatShim:
-    def test_tao_attacks_reexports_everything(self):
-        import repro.attack as attack_pkg
-        import repro.tao.attacks as shim
-
-        for name in attack_pkg.__all__:
-            assert getattr(shim, name) is getattr(attack_pkg, name)
-
+class TestApiFacade:
     def test_api_facade_exposes_attack_entry_points(self):
         from repro import api
 

@@ -1,7 +1,7 @@
 """Tests for the resumable campaign service (plan/execute split):
 
 * ``plan_campaign`` is pure and deterministic: content-addressed unit
-  ids and a spec fingerprint that ignores execution knobs;
+  ids and a spec fingerprint that execution knobs cannot reach;
 * ``CheckpointStore`` publishes one atomic JSON record per completed
   unit, namespaced by spec fingerprint, and degrades unreadable or
   mismatched records to "not checkpointed";
@@ -13,8 +13,6 @@
   while the rest of the campaign completes;
 * per-unit timeouts kill the hung worker's process group and charge
   an attempt;
-* the legacy ``run_campaign(spec)`` wrapper still honours the old
-  spec-embedded knobs (with a one-per-process DeprecationWarning);
 * ``repro.api`` is the stable facade and the CLI advertises it.
 """
 
@@ -35,7 +33,6 @@ from repro.api import (
     ExecutionOptions,
     execute_plan,
     plan_campaign,
-    run_campaign,
 )
 from repro.runtime.checkpoint import (
     CheckpointStore,
@@ -73,9 +70,13 @@ class TestPlanCampaign:
         assert {u.unit_id for u in reseeded.units}.isdisjoint(ids)
 
     def test_fingerprint_ignores_execution_knobs(self):
+        # Execution knobs live on ExecutionOptions only, so they can
+        # never reach the spec or its fingerprint.
+        import dataclasses
+
+        spec_fields = {f.name for f in dataclasses.fields(CampaignSpec)}
+        assert not spec_fields & {"jobs", "engine"}
         bare = plan_campaign(CampaignSpec(**SPEC))
-        knobbed = plan_campaign(CampaignSpec(**SPEC, jobs=8, engine="interp"))
-        assert bare.fingerprint == knobbed.fingerprint
         assert bare.fingerprint == spec_fingerprint(bare.spec_dict(), SCHEMA)
 
     def test_empty_spec_rejected(self):
@@ -498,34 +499,8 @@ class TestKillResume:
 
 
 # ----------------------------------------------------------------------
-# Legacy wrapper and facade
+# Facade
 # ----------------------------------------------------------------------
-class TestLegacyWrapper:
-    def test_legacy_knobs_warn_once_and_match(self, monkeypatch):
-        monkeypatch.setattr(campaign_mod, "_LEGACY_KNOBS_WARNED", False)
-        spec = CampaignSpec(**SPEC, jobs=2)
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            legacy = run_campaign(spec)
-        modern = execute_plan(
-            plan_campaign(CampaignSpec(**SPEC)), _options(jobs=2)
-        )
-        assert legacy.to_json() == modern.to_json()
-        # second call: the warning already fired for this process
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            run_campaign(CampaignSpec(**SPEC, jobs=2))
-
-    def test_plain_spec_does_not_warn(self):
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
-        assert result.units[0].ok
-
-
 class TestApiFacade:
     def test_exports_resolve(self):
         import repro.api as api

@@ -155,3 +155,33 @@ class TestEvaluationCommands:
     def test_missing_top_rejected(self, source_file):
         with pytest.raises(SystemExit):
             main(["analyze", str(source_file)])
+
+
+class TestCampaignKeySchemeFlag:
+    def test_unknown_scheme_gets_registry_error(self, capsys):
+        code = main(
+            ["campaign", "--benchmarks", "sobel", "--keys", "2",
+             "--key-scheme", "bogus"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown key-management scheme 'bogus'" in err
+        assert "replication, aes" in err
+
+    def test_registered_scheme_passes_validation(
+        self, isolated_registry, tmp_path, capsys
+    ):
+        isolated_registry.register(
+            "key-scheme",
+            "plugin-replication",
+            isolated_registry.get("key-scheme", "replication"),
+        )
+        out = tmp_path / "plugin.json"
+        code = main(
+            ["campaign", "--benchmarks", "sobel", "--keys", "2", "--jobs", "1",
+             "--key-scheme", "plugin-replication", "-o", str(out)]
+        )
+        assert code == 0
+        unit = json.loads(out.read_text())["units"][0]
+        assert unit["key_scheme"] == "plugin-replication"
+        assert unit["report"]["correct_key_ok"]

@@ -14,27 +14,18 @@ from pathlib import Path
 import pytest
 
 import repro.registry as registry_mod
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.registry import (
     BUILTIN,
     KIND_LABELS,
     REGISTRY,
     CapabilityRegistry,
-    CapabilityView,
     DuplicateCapabilityError,
     UnknownCapabilityError,
     describe_capabilities,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "sobel_campaign.json"
-
-
-@pytest.fixture
-def isolated_registry():
-    """Snapshot the process registry and restore it after the test, so
-    plugin loads and ad-hoc registrations cannot leak across tests."""
-    state = REGISTRY.snapshot()
-    yield REGISTRY
-    REGISTRY.restore(state)
 
 
 def _fresh() -> CapabilityRegistry:
@@ -161,37 +152,6 @@ class TestRegistrySemantics:
         assert reg.names("widget") == ("alpha",)
 
 
-class TestCapabilityView:
-    def test_mapping_protocol(self):
-        reg = _fresh()
-        view = CapabilityView(reg, "widget")
-        view["alpha"] = 1
-        view["beta"] = 2
-        assert view["alpha"] == 1
-        assert list(view) == ["alpha", "beta"]
-        assert len(view) == 2
-        assert "alpha" in view and "gamma" not in view
-        assert dict(view) == {"alpha": 1, "beta": 2}
-        del view["alpha"]
-        assert list(view) == ["beta"]
-        assert view.pop("beta") == 2
-        assert len(view) == 0
-
-    def test_view_getitem_unknown_is_keyerror(self):
-        view = CapabilityView(_fresh(), "widget")
-        with pytest.raises(KeyError):
-            view["nope"]
-        assert view.get("nope") is None
-
-    def test_view_and_registry_share_state(self):
-        reg = _fresh()
-        view = CapabilityView(reg, "widget")
-        reg.register("widget", "alpha", 1)
-        assert view["alpha"] == 1
-        view["alpha"] = 9  # views replace (monkeypatch.setitem semantics)
-        assert reg.get("widget", "alpha") == 9
-
-
 class TestBuiltinRegistrations:
     """All eight kinds resolve through the one process registry."""
 
@@ -202,25 +162,28 @@ class TestBuiltinRegistrations:
             assert entries, f"kind {kind!r} registered nothing"
             assert all(e["provenance"] == BUILTIN for e in entries)
 
-    def test_legacy_tables_are_registry_views(self):
-        from repro.runtime.campaign import PRESET_BUDGETS, PRESET_CONFIGS
-        from repro.tao.pipeline import PIPELINE_PRESETS
-        from repro.tao.pipeline import _REGISTRY as stage_table
-
-        for table in (PRESET_BUDGETS, PRESET_CONFIGS, PIPELINE_PRESETS, stage_table):
-            assert isinstance(table, CapabilityView)
-
     def test_tables_mirror_registry_names(self):
         from repro.benchsuite.registry import benchmark_names
-        from repro.runtime.campaign import KEY_SCHEMES, PRESET_BUDGETS
-        from repro.sim import ENGINES
         from repro.tao.pipeline import available_stages
 
         assert tuple(benchmark_names()) == REGISTRY.names("benchmark")
-        assert tuple(PRESET_BUDGETS) == REGISTRY.names("budget")
-        assert KEY_SCHEMES == REGISTRY.names("key-scheme")
-        assert ENGINES == REGISTRY.names("engine")
+        assert REGISTRY.names("budget") == (
+            "default", "tight", "loose", "mul-tight", "mem-tight",
+        )
+        assert REGISTRY.names("key-scheme") == ("replication", "aes")
+        assert REGISTRY.names("engine") == ("compiled", "interp", "codegen")
         assert available_stages() == REGISTRY.names("stage")
+
+    def test_cli_defaults_resolve(self):
+        # The defaults `repro campaign` falls back to when an axis flag
+        # is omitted must each resolve through the registry.
+        from repro.runtime.campaign import budget_constraints
+        from repro.sim import DEFAULT_ENGINE, resolve_engine
+
+        assert REGISTRY.get("config", "default") == {}
+        assert REGISTRY.has("key-scheme", "replication")
+        assert budget_constraints("default") is None
+        assert resolve_engine(DEFAULT_ENGINE) == DEFAULT_ENGINE
 
 
 class TestUniformUnknownNameErrors:
@@ -251,14 +214,12 @@ class TestUniformUnknownNameErrors:
         assert "tight" in str(excinfo.value)
 
     def test_unknown_config(self):
-        from repro.runtime.campaign import CampaignSpec
-
         spec = CampaignSpec(benchmarks=("sobel",))
         with pytest.raises(KeyError, match="registered campaign configs"):
             spec.config_overrides("nope")
 
     def test_unknown_attack(self):
-        from repro.tao.attacks import run_attack
+        from repro.attack import run_attack
 
         with pytest.raises(UnknownCapabilityError, match="registered attacks"):
             run_attack("nope", None, [])
@@ -364,18 +325,15 @@ class TestPluginSeam:
     def test_plugin_benchmark_and_attack_sweep_as_campaign_axes(
         self, isolated_registry, monkeypatch
     ):
-        from repro.runtime.campaign import CampaignSpec, run_campaign
-
         self._arm(monkeypatch, [_FakeEntryPoint("demo", _register_demo_plugin)])
         spec = CampaignSpec(
             benchmarks=("pluginbench",),
             n_keys=2,
             n_workloads=1,
             seed=3,
-            jobs=1,
             attacks=("plugin-probe",),
         )
-        result = run_campaign(spec)
+        result = execute_plan(plan_campaign(spec), ExecutionOptions(jobs=1))
         assert len(result.units) == 1
         unit = result.units[0]
         assert unit.benchmark == "pluginbench"
@@ -491,7 +449,6 @@ class TestCampaignAttackAxis:
 
     def test_attack_blocks_embed_without_perturbing_unit(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.runtime.campaign import CampaignSpec, run_campaign
 
         out = tmp_path / "attacked.json"
         code = main(
@@ -522,8 +479,9 @@ class TestCampaignAttackAxis:
         assert data["spec"]["attacks"] == ["replication-leak"]
         # the same campaign without attacks emits an identical unit
         # minus the attacks block: seeds and trials are unperturbed
-        bare = run_campaign(
-            CampaignSpec(benchmarks=("sobel",), n_keys=2, seed=11, jobs=1)
+        bare = execute_plan(
+            plan_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2, seed=11)),
+            ExecutionOptions(jobs=1),
         )
         bare_doc = json.loads(bare.to_json())
         attacked_unit = dict(data["units"][0])
@@ -539,16 +497,11 @@ class TestGoldenByteIdentity:
         (re-stamped across schema bumps — /4 added the per-unit
         ``status``/``attempts`` fields, /5 structured the attack
         blocks; neither touches attack-free campaign bytes)."""
-        from repro.runtime.campaign import CampaignSpec, run_campaign
-
+        spec = CampaignSpec(
+            benchmarks=("sobel",), n_keys=3, n_workloads=1, seed=7
+        )
         for engine in ("compiled", "codegen"):
-            spec = CampaignSpec(
-                benchmarks=("sobel",),
-                n_keys=3,
-                n_workloads=1,
-                seed=7,
-                jobs=1,
-                engine=engine,
+            result = execute_plan(
+                plan_campaign(spec), ExecutionOptions(jobs=1, engine=engine)
             )
-            result = run_campaign(spec)
             assert result.to_json() + "\n" == GOLDEN.read_text(), engine

@@ -9,7 +9,7 @@
 * cache telemetry counts trials run in nested key-level pools;
 * multi-axis sweeps (config × key scheme × resource budget ×
   pipeline) enumerate, execute and serialize (``repro.campaign/5``)
-  correctly, and old documents upgrade on load.
+  correctly, and documents of any other schema are rejected on load.
 """
 
 import json
@@ -17,16 +17,15 @@ import random
 
 import pytest
 
+from repro.api import ExecutionOptions, execute_plan, plan_campaign
 from repro.runtime.cache import GOLDEN_CACHE, reset_caches
 from repro.runtime.campaign import (
-    PRESET_BUDGETS,
     CampaignSpec,
     _spec_from_dict,
     budget_constraints,
     derive_seed,
     parallel_map,
     resolve_jobs,
-    run_campaign,
 )
 from repro.runtime.results import (
     AXIS_LABELS,
@@ -56,6 +55,10 @@ int kernel(int seed, int out[4]) {
 """
 
 BENCH = Testbench(args=[7])
+
+
+def _execute(spec, **options):
+    return execute_plan(plan_campaign(spec), ExecutionOptions(**options))
 
 
 @pytest.fixture(autouse=True)
@@ -173,9 +176,8 @@ class TestGoldenMemoization:
             key_schemes=("replication", "aes"),
             n_keys=2,
             n_workloads=1,
-            jobs=1,
         )
-        result = run_campaign(spec, collect_cache_stats=True)
+        result = _execute(spec, jobs=1, collect_cache_stats=True)
         assert len(result.units) == 8
         golden = result.cache["golden"]
         assert golden["misses"] == len(spec.benchmarks) * spec.n_workloads
@@ -196,8 +198,8 @@ class TestCacheTelemetry:
         # key trials over a nested pool.  Every trial's golden lookup
         # must appear in the campaign telemetry (they were dropped
         # before the workers reported deltas back).
-        spec = CampaignSpec(benchmarks=("sobel",), n_keys=6, jobs=4)
-        result = run_campaign(spec, collect_cache_stats=True)
+        spec = CampaignSpec(benchmarks=("sobel",), n_keys=6)
+        result = _execute(spec, jobs=4, collect_cache_stats=True)
         golden = result.cache["golden"]
         assert golden["hits"] + golden["misses"] == spec.n_keys
 
@@ -220,16 +222,16 @@ class TestParallelDeterminism:
 
     def test_campaign_parallel_equals_serial(self):
         base = dict(benchmarks=("sobel", "adpcm"), n_keys=3, seed=5)
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=2, **base))
+        serial = _execute(CampaignSpec(**base), jobs=1)
+        parallel = _execute(CampaignSpec(**base), jobs=2)
         assert serial.to_json() == parallel.to_json()
 
     def test_oversubscribed_campaign_equals_serial(self):
         # jobs > unit count: unit workers spawn nested key-level pools
         # (ceil split, 2 key workers each) — results must not change.
         base = dict(benchmarks=("sobel", "adpcm"), n_keys=4, seed=9)
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        nested = run_campaign(CampaignSpec(jobs=4, **base))
+        serial = _execute(CampaignSpec(**base), jobs=1)
+        nested = _execute(CampaignSpec(**base), jobs=4)
         assert serial.to_json() == nested.to_json()
 
     def test_multi_axis_parallel_equals_serial(self):
@@ -242,8 +244,8 @@ class TestParallelDeterminism:
             n_keys=2,
             seed=13,
         )
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=8, **base))
+        serial = _execute(CampaignSpec(**base), jobs=1)
+        parallel = _execute(CampaignSpec(**base), jobs=8)
         assert serial.to_json() == parallel.to_json()
         assert serial.to_dict()["schema"] == "repro.campaign/5"
 
@@ -258,7 +260,7 @@ class TestParallelDeterminism:
             key_schemes=("replication", "aes"),
             n_keys=2,
         )
-        result = run_campaign(spec)
+        result = _execute(spec)
         seeds = {u.workload_seed for u in result.units}
         assert len(seeds) == 1
         unit_seeds = {u.seed for u in result.units}
@@ -296,12 +298,10 @@ class TestCampaignEngine:
 
     def test_empty_spec_raises(self):
         with pytest.raises(ValueError, match="no units"):
-            run_campaign(CampaignSpec(benchmarks=()))
+            plan_campaign(CampaignSpec(benchmarks=()))
 
     def test_single_unit_campaign(self):
-        result = run_campaign(
-            CampaignSpec(benchmarks=("sobel",), n_keys=3, jobs=1)
-        )
+        result = _execute(CampaignSpec(benchmarks=("sobel",), n_keys=3), jobs=1)
         unit = result.unit("sobel")
         assert unit.report.correct_key_ok
         assert unit.report.wrong_keys_all_corrupt
@@ -362,14 +362,10 @@ class TestCampaignEngine:
         assert mem_tight.memory_ports == 1
         assert mem_tight.shared_memory_port
 
-    def test_budget_preset_rejects_unknown_field(self, monkeypatch):
+    def test_budget_preset_rejects_unknown_field(self, isolated_registry):
         # A typo'd preset entry must fail loudly at resolution, not
         # fall through to a confusing FUKind error.
-        from repro.runtime import campaign as campaign_mod
-
-        monkeypatch.setitem(
-            campaign_mod.PRESET_BUDGETS, "typo", {"memory_port": 1}
-        )
+        isolated_registry.register("budget", "typo", {"memory_port": 1})
         with pytest.raises(KeyError, match="ResourceConstraints field"):
             budget_constraints("typo")
 
@@ -389,7 +385,7 @@ class TestCampaignEngine:
         assert memtight.controller.n_states > default.controller.n_states
 
     def test_new_budget_presets_campaign_correct(self):
-        result = run_campaign(
+        result = _execute(
             CampaignSpec(
                 benchmarks=("sobel",),
                 resource_budgets=("mul-tight", "mem-tight"),
@@ -458,7 +454,7 @@ class TestResultsSchema:
         assert clone.trials[0].locking_key == report.trials[0].locking_key
 
     def test_campaign_round_trip(self):
-        result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
+        result = _execute(CampaignSpec(benchmarks=("sobel",), n_keys=2))
         clone = CampaignResult.from_json(result.to_json())
         assert clone.to_json() == result.to_json()
 
@@ -466,153 +462,19 @@ class TestResultsSchema:
         with pytest.raises(ValueError, match="schema"):
             CampaignResult.from_dict({"schema": "bogus/9", "spec": {}, "units": []})
 
-    def test_v1_document_upgrades(self):
-        v1 = {
-            "schema": "repro.campaign/1",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "key_scheme": "aes",
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "params": {},
-                    "seed": 42,
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v1)
-        unit = result.unit("sobel")
-        assert unit.key_scheme == "aes"  # spec's scalar scheme applied
-        assert unit.budget == "default"
-        assert unit.pipeline == "params"  # chained v2 -> v3 upgrade
-        assert unit.stages == []
-        assert result.spec["key_schemes"] == ["aes"]
-        assert result.spec["resource_budgets"] == ["default"]
-        assert result.spec["pipelines"] == ["params"]
-        assert result.to_dict()["schema"] == "repro.campaign/5"
-
-    def test_v2_document_upgrades(self):
-        v2 = {
-            "schema": "repro.campaign/2",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "key_schemes": ["replication"],
-                "resource_budgets": ["tight"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "key_scheme": "replication",
-                    "budget": "tight",
-                    "params": {},
-                    "seed": 42,
-                    "workload_seed": 9,
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v2)
-        unit = result.unit("sobel")
-        assert unit.pipeline == "params"  # v2 always derived from booleans
-        assert unit.stages == []  # legacy runs recorded no telemetry
-        assert unit.budget == "tight"  # existing axis labels survive
-        assert result.spec["pipelines"] == ["params"]
-        assert result.to_dict()["schema"] == "repro.campaign/5"
-        # v1 -> ... -> v5 chain stamps the service-era unit fields.
-        assert unit.status == "ok"
-        assert unit.attempts == 1
-
-    def test_v3_document_upgrades(self):
-        v3 = {
-            "schema": "repro.campaign/3",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "key_schemes": ["replication"],
-                "resource_budgets": ["default"],
-                "pipelines": ["params"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "key_scheme": "replication",
-                    "budget": "default",
-                    "pipeline": "params",
-                    "params": {},
-                    "seed": 42,
-                    "workload_seed": 9,
-                    "stages": [],
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v3)
-        unit = result.unit("sobel")
-        # Pre-service documents never recorded failures: every unit is
-        # a first-attempt success.
-        assert unit.status == "ok"
-        assert unit.attempts == 1
-        assert unit.error is None
-        assert unit.ok
-        data = result.to_dict()
-        assert data["schema"] == "repro.campaign/5"
-        assert data["units"][0]["status"] == "ok"
-        assert "error" not in data["units"][0]
+    @pytest.mark.parametrize(
+        "schema", [f"repro.campaign/{v}" for v in (1, 2, 3, 4)] + [None]
+    )
+    def test_other_schemas_are_rejected(self, schema):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignResult.from_dict({"schema": schema, "spec": {}, "units": []})
+        message = str(excinfo.value)
+        assert repr(schema) in message
+        assert "'repro.campaign/5'" in message
+        assert "re-run the campaign" in message
 
     def test_axes_labels_embedded(self):
-        result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
+        result = _execute(CampaignSpec(benchmarks=("sobel",), n_keys=2))
         data = result.to_dict()
         assert data["axes"] == AXIS_LABELS
         assert set(AXIS_LABELS) == {"config", "key_scheme", "budget", "pipeline"}

@@ -24,6 +24,7 @@ import threading
 
 import pytest
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.runtime.cache import (
     FRONTEND_CACHE,
     GOLDEN_CACHE,
@@ -36,7 +37,6 @@ from repro.runtime.cache import (
     configure_disk_cache,
     reset_caches,
 )
-from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.sim import Testbench, run_testbench
 from repro.tao import TaoFlow
 
@@ -410,19 +410,21 @@ class TestWarmCampaignAcceptance:
         n_keys=2,
     )
 
+    def _run(self, jobs, spec=None):
+        return execute_plan(
+            plan_campaign(spec or CampaignSpec(**self.SPEC)),
+            ExecutionOptions(jobs=jobs, collect_cache_stats=True),
+        )
+
     def test_warm_campaign_zero_misses_identical_json(self, tmp_path):
         configure_disk_cache(tmp_path / "c")
-        cold = run_campaign(
-            CampaignSpec(jobs=1, **self.SPEC), collect_cache_stats=True
-        )
+        cold = self._run(jobs=1)
         assert cold.cache["golden"]["misses"] == 1  # benchmarks x workloads
         assert cold.cache["backend"]["kind"] == "disk"
         # Fresh process simulation: drop the L1s, re-open the backend.
         reset_caches()
         configure_disk_cache(tmp_path / "c")
-        warm = run_campaign(
-            CampaignSpec(jobs=1, **self.SPEC), collect_cache_stats=True
-        )
+        warm = self._run(jobs=1)
         assert warm.cache["golden"]["misses"] == 0
         assert warm.cache["golden"]["l2_hits"] == 1
         assert warm.cache["frontend"]["misses"] == 0
@@ -430,14 +432,10 @@ class TestWarmCampaignAcceptance:
 
     def test_parallel_workers_share_backend(self, tmp_path):
         configure_disk_cache(tmp_path / "c")
-        cold = run_campaign(
-            CampaignSpec(jobs=2, **self.SPEC), collect_cache_stats=True
-        )
+        cold = self._run(jobs=2)
         reset_caches()
         configure_disk_cache(tmp_path / "c")
-        warm = run_campaign(
-            CampaignSpec(jobs=2, **self.SPEC), collect_cache_stats=True
-        )
+        warm = self._run(jobs=2)
         assert warm.cache["golden"]["misses"] == 0
         assert warm.cache["golden"]["l2_hits"] >= 1
         assert campaign_fields(warm) == campaign_fields(cold)
@@ -446,11 +444,11 @@ class TestWarmCampaignAcceptance:
         # Single unit + jobs>1: the key trials fan out over a nested
         # pool whose workers must open the parent's backend too.
         configure_disk_cache(tmp_path / "c")
-        spec = CampaignSpec(benchmarks=("sobel",), n_keys=4, jobs=3)
-        cold = run_campaign(spec, collect_cache_stats=True)
+        spec = CampaignSpec(benchmarks=("sobel",), n_keys=4)
+        cold = self._run(jobs=3, spec=spec)
         reset_caches()
         configure_disk_cache(tmp_path / "c")
-        warm = run_campaign(spec, collect_cache_stats=True)
+        warm = self._run(jobs=3, spec=spec)
         assert warm.cache["golden"]["misses"] == 0
         assert campaign_fields(warm) == campaign_fields(cold)
 
@@ -467,14 +465,10 @@ class TestWarmCampaignAcceptance:
         finally:
             sys.path.remove(scripts_dir)
         configure_disk_cache(tmp_path / "c")
-        cold = run_campaign(
-            CampaignSpec(jobs=1, **self.SPEC), collect_cache_stats=True
-        )
+        cold = self._run(jobs=1)
         reset_caches()
         configure_disk_cache(tmp_path / "c")
-        warm = run_campaign(
-            CampaignSpec(jobs=1, **self.SPEC), collect_cache_stats=True
-        )
+        warm = self._run(jobs=1)
         assert compare(cold.to_dict(), warm.to_dict()) == []
         broken = warm.to_dict()
         broken["cache"]["golden"]["misses"] = 3

@@ -342,6 +342,24 @@ class TestKeyBatches:
         fanned = key_batches(items, 4, max_lanes=16)
         assert [x for b in serial for x in b] == [x for b in fanned for x in b]
 
+    @pytest.mark.parametrize(
+        "n_items, jobs, max_lanes, sizes",
+        [
+            (5, 4, 64, [2, 1, 1, 1]),
+            (10, 8, 64, [2, 2, 1, 1, 1, 1, 1, 1]),
+            (7, 2, 64, [4, 3]),
+            (100, 2, 64, [50, 50]),
+            (130, 1, 64, [44, 43, 43]),
+        ],
+    )
+    def test_exactly_n_batches_balanced(self, n_items, jobs, max_lanes, sizes):
+        # At least `jobs` batches (when there are enough items), sizes
+        # differing by at most one, none above `max_lanes`.
+        items = list(range(n_items))
+        batches = key_batches(items, jobs, max_lanes=max_lanes)
+        assert [len(batch) for batch in batches] == sizes
+        assert [x for batch in batches for x in batch] == items
+
 
 class TestKeyBatchLanes:
     """The lane cap as a tunable: resolution precedence and the

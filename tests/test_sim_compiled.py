@@ -8,10 +8,11 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
 from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
-from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.registry import REGISTRY
 from repro.sim import (
     SimulationError,
     codegen_for,
@@ -24,7 +25,6 @@ from repro.sim.compiled import _COMPILE_CACHE
 from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
-from repro.tao.pipeline import PIPELINE_PRESETS
 
 
 def untraced_fields(result):
@@ -82,7 +82,7 @@ class TestDifferentialAcrossSuite:
     field by field, on every benchmark x preset pipeline x key class."""
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
-    @pytest.mark.parametrize("preset", sorted(PIPELINE_PRESETS))
+    @pytest.mark.parametrize("preset", sorted(REGISTRY.names("pipeline-preset")))
     def test_benchmark_pipeline_key_classes(self, bench_name, preset):
         component, workload = _obfuscated(bench_name, preset)
         design = component.design
@@ -282,17 +282,15 @@ class TestZeroSizeMemory:
 
 class TestCampaignEngineParity:
     def test_campaign_json_byte_identical_across_engines(self):
-        documents = {}
-        for engine in ("interp", "compiled", "codegen"):
-            spec = CampaignSpec(
-                benchmarks=("gsm",),
-                n_keys=3,
-                n_workloads=1,
-                seed=13,
-                jobs=1,
-                engine=engine,
-            )
-            documents[engine] = run_campaign(spec).to_json()
+        plan = plan_campaign(
+            CampaignSpec(benchmarks=("gsm",), n_keys=3, n_workloads=1, seed=13)
+        )
+        documents = {
+            engine: execute_plan(
+                plan, ExecutionOptions(jobs=1, engine=engine)
+            ).to_json()
+            for engine in ("interp", "compiled", "codegen")
+        }
         assert documents["interp"] == documents["compiled"]
         assert documents["interp"] == documents["codegen"]
         # The engine is an execution knob: it must not leak into the

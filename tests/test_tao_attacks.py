@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.sim import Testbench
-from repro.tao import ObfuscationParameters, TaoFlow
-from repro.tao.attacks import (
+from repro.attack import (
     brute_force_slice_with_oracle,
     key_sensitivity_analysis,
     random_key_attack,
     replication_leak_analysis,
 )
+from repro.sim import Testbench
+from repro.tao import ObfuscationParameters, TaoFlow
 
 SOURCE = """
 int kernel(int gain, int data[6], int out[6]) {

@@ -1,8 +1,8 @@
 """Tests for the composable obfuscation-pass pipeline API.
 
 Covers the stage registry, :class:`FlowSpec` validation and
-round-tripping, the back-compat boolean shim (every ``PRESET_CONFIGS``
-cell must be byte-identical — Verilog and key configuration — between
+round-tripping, the back-compat boolean shim (every builtin campaign
+config must be byte-identical — Verilog and key configuration — between
 the legacy boolean path and its FlowSpec preset), per-stage
 ``StageReport`` telemetry, stream-split design-time randomness, the
 campaign's pipeline axis and the CLI ``--pipeline`` flag.
@@ -13,17 +13,12 @@ import warnings
 
 import pytest
 
+from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
+from repro.registry import REGISTRY
 from repro.rtl import emit_verilog
 from repro.runtime.cache import reset_caches
-from repro.runtime.campaign import (
-    CONFIG_PIPELINES,
-    PRESET_CONFIGS,
-    CampaignSpec,
-    derive_seed,
-    run_campaign,
-)
+from repro.runtime.campaign import derive_seed
 from repro.tao import (
-    PIPELINE_PRESETS,
     FlowSpec,
     ObfuscationParameters,
     TaoFlow,
@@ -33,7 +28,16 @@ from repro.tao import (
     resolve_pipeline,
 )
 from repro.tao import flow as flow_module
-from repro.tao import pipeline as pipeline_module
+
+#: The FlowSpec preset equivalent of each builtin campaign config:
+#: running a config through its pipeline preset produces a
+#: byte-identical design.
+PIPELINE_OF_CONFIG = {
+    "default": "full",
+    "branches-only": "branches",
+    "constants-only": "constants",
+    "dfg-only": "dfg",
+}
 
 SOURCE = """
 int kernel(int gain, int data[6], int out[6]) {
@@ -96,7 +100,7 @@ class TestStageRegistry:
             assert report.ops_touched > 0
             assert report.key_bits_consumed == 0
         finally:
-            pipeline_module._REGISTRY.pop("census")
+            REGISTRY.unregister("stage", "census")
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +157,7 @@ class TestFlowSpec:
         assert effective.constant_width == 32
 
     def test_resolve_pipeline_presets_and_lists(self):
-        assert resolve_pipeline("full") is PIPELINE_PRESETS["full"]
+        assert resolve_pipeline("full") is REGISTRY.get("pipeline-preset", "full")
         assert resolve_pipeline("constants, branches").stages == (
             "constants", "branches",
         )
@@ -169,13 +173,13 @@ class TestFlowSpec:
 # Back-compat: boolean path == FlowSpec preset path, byte for byte
 # ----------------------------------------------------------------------
 class TestPresetEquivalence:
-    @pytest.mark.parametrize("config", sorted(PRESET_CONFIGS))
+    @pytest.mark.parametrize("config", sorted(PIPELINE_OF_CONFIG))
     def test_preset_config_equals_pipeline_preset(self, config):
-        params = ObfuscationParameters(**PRESET_CONFIGS[config])
+        params = ObfuscationParameters(**REGISTRY.get("config", config))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             legacy = TaoFlow(params=params).obfuscate(SOURCE, "kernel")
-        piped = TaoFlow(pipeline=CONFIG_PIPELINES[config]).obfuscate(
+        piped = TaoFlow(pipeline=PIPELINE_OF_CONFIG[config]).obfuscate(
             SOURCE, "kernel"
         )
         assert emit_verilog(legacy.design) == emit_verilog(piped.design)
@@ -184,9 +188,9 @@ class TestPresetEquivalence:
         assert legacy.correct_working_key == piped.correct_working_key
 
     def test_every_preset_config_has_a_pipeline(self):
-        assert set(CONFIG_PIPELINES) == set(PRESET_CONFIGS)
-        for name in CONFIG_PIPELINES.values():
-            assert name in PIPELINE_PRESETS
+        assert set(PIPELINE_OF_CONFIG) == set(REGISTRY.names("config"))
+        for name in PIPELINE_OF_CONFIG.values():
+            assert REGISTRY.has("pipeline-preset", name)
 
     def test_dfg_diversity_option_equals_params_knob(self):
         via_params = TaoFlow(
@@ -325,9 +329,10 @@ class TestCampaignPipelineAxis:
             benchmarks=("sobel",),
             pipelines=("params", "constants,branches", "full"),
             n_keys=2,
-            jobs=1,
         )
-        result = run_campaign(spec, collect_cache_stats=True)
+        result = execute_plan(
+            plan_campaign(spec), ExecutionOptions(jobs=1, collect_cache_stats=True)
+        )
         assert len(result.units) == 3
         assert result.cache["golden"]["misses"] == 1
         assert result.cache["frontend"]["misses"] == 1
@@ -340,7 +345,7 @@ class TestCampaignPipelineAxis:
         spec = CampaignSpec(
             benchmarks=("sobel",), pipelines=("params", "full"), n_keys=3
         )
-        result = run_campaign(spec)
+        result = execute_plan(plan_campaign(spec))
         legacy = result.unit("sobel", pipeline="params").to_dict()
         piped = result.unit("sobel", pipeline="full").to_dict()
         # Only the axis label and its derived seeds may differ.
@@ -361,8 +366,9 @@ class TestCampaignPipelineAxis:
             n_keys=2,
             seed=21,
         )
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=4, **base))
+        plan = plan_campaign(CampaignSpec(**base))
+        serial = execute_plan(plan, ExecutionOptions(jobs=1))
+        parallel = execute_plan(plan, ExecutionOptions(jobs=4))
         assert serial.to_json() == parallel.to_json()
 
     def test_unknown_pipeline_fails_in_worker(self):
@@ -370,7 +376,7 @@ class TestCampaignPipelineAxis:
             benchmarks=("sobel",), pipelines=("warp-drive",), n_keys=2
         )
         with pytest.raises(ValueError, match="unknown stage"):
-            run_campaign(spec)
+            plan_campaign(spec)
 
     def test_spec_round_trip_with_pipelines(self):
         from repro.runtime.campaign import _spec_from_dict
