@@ -2,8 +2,8 @@
 """BENCH trajectory: FSMD key-validation cost per engine, with the
 build and the steady state reported separately.
 
-Times the §4.3 key-validation cell (default: sobel and viterbi, 20
-keys, one workload) under every simulation engine (``interp``, the
+Times the §4.3 key-validation cell (default: sobel, viterbi and gsm,
+20 keys, one workload) under every simulation engine (``interp``, the
 reference interpreter; ``compiled``, closure plans; ``codegen``, the
 generated default engine), each ``(benchmark, engine)`` pair in a
 **fresh subprocess** so no run benefits from another's in-process
@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--engine", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--benchmark", action="append", default=None,
-                        help="benchmark column(s); default sobel + viterbi")
+                        help="benchmark column(s); default sobel + viterbi + gsm")
     parser.add_argument("--keys", type=int, default=20)
     parser.add_argument("--workloads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7)
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.child:
         return child_main(args)
 
-    benchmarks = args.benchmark or ["sobel", "viterbi"]
+    benchmarks = args.benchmark or ["sobel", "viterbi", "gsm"]
     results = {name: bench_one(name, args) for name in benchmarks}
     document = {
         "bench": "sim_key_validation_throughput",

@@ -21,9 +21,29 @@ code over a per-lane register list:
 * **Storage.**  A lane's registers live in one list ``R`` (slot-indexed;
   one extra slot holds the return value), its memories in ``M`` and
   its key material in ``K``: every key-dependent quantity — decoded
-  obfuscated constants, ROM masks, branch key bits, variant selectors
-  — gets one slot, filled per lane by :meth:`CodegenDesign.bind_keys`.
-  Wrap masks, memory sizes and folded constants are literals.
+  obfuscated constants, ROM masks, branch key bits, variant arm
+  indices — gets one slot, filled per lane by
+  :meth:`CodegenDesign.bind_keys`.  Wrap bounds, memory sizes and
+  folded constants are literals; so are memory indices and shift
+  amounts that are literals in the design, reduced when the code is
+  generated.
+
+* **Wraps.**  A value is wrapped to its type only where the wrap can
+  change it.  None is emitted for a MOV or STORE whose operand's type
+  range lies within the target's (a register read is always in range
+  for its own type, and a literal is wrapped at generation time), nor
+  for a LOAD whose element type's range lies within the result's
+  (memories hold element-wrapped values; an obfuscated ROM word is
+  wrapped once decoded).  A remaining signed wrap range-tests the value
+  first, ``(_w if LO <= (_w := e) <= HI else ((_w + OFF) & MASK) -
+  OFF)``, so the usual small in-range value costs two compares instead
+  of three big-int operations; an unsigned wrap stays one mask.
+
+* **Variant dispatch.**  A DFG-variant state compares one ``K`` slot
+  of its own, the lane's *arm index* — the position of the arm group
+  that holds the lane's selector — against small int literals.  The
+  index is bound per lane, once per batch, through the block's
+  selector function.
 
 * **Budget checks.**  Every generated cycle first checks the cycle
   budget and then counts itself, so a lane times out at exactly the
@@ -99,12 +119,27 @@ _CMP_OPS = {
 
 
 def _wrap_expr(expr: str, type_: IntType) -> str:
-    """Inline ``type_.wrap`` as a source expression (masks as literals)."""
+    """Inline ``type_.wrap`` as a source expression (bounds as literals).
+
+    An unsigned wrap is one mask.  A signed wrap first range-tests the
+    value (held in the cycle-local ``_w``) and pays the three big-int
+    operations of the two's-complement fold only when it is out of
+    range.  ``_w`` is read right after its own assignment, so nested
+    wraps do not disturb each other.
+    """
     mask = (1 << type_.width) - 1
     if not type_.signed:
         return f"(({expr}) & {mask})"
     sign = 1 << (type_.width - 1)
-    return f"(((({expr}) + {sign}) & {mask}) - {sign})"
+    return (
+        f"(_w if {-sign} <= (_w := {expr}) <= {sign - 1} "
+        f"else ((_w + {sign}) & {mask}) - {sign})"
+    )
+
+
+def _within(inner: IntType, outer: IntType) -> bool:
+    """True when every value of ``inner`` is a value of ``outer``."""
+    return outer.contains(inner.min_value) and outer.contains(inner.max_value)
 
 
 def _indent(lines: list[str], prefix: str = "    ") -> list[str]:
@@ -149,6 +184,21 @@ class _Emitter:
             return f"R[{slot}]"
         return _wrap_expr(f"R[{slot}]", value.type)
 
+    def fitted(self, value: Value, type_: IntType) -> str:
+        """``value`` read and wrapped to ``type_``.
+
+        A read is always in range for the value's own type, so the wrap
+        is dropped when that range lies within ``type_``'s; a literal
+        is wrapped here, at generation time.
+        """
+        if isinstance(value, Constant):
+            return repr(type_.wrap(value.value))
+        assert isinstance(value.type, IntType)
+        expression = self.operand(value)
+        if _within(value.type, type_):
+            return expression
+        return _wrap_expr(expression, type_)
+
     def arith(self, opcode: Opcode, operands: list[Value], result_type: IntType) -> str:
         """Inline arithmetic for one datapath op (wrap folded in)."""
         a = self.operand(operands[0])
@@ -178,18 +228,23 @@ class _Emitter:
             return wrap(f"(({a}) & {mask0}) {symbol} (({b}) & {mask1})")
         if opcode in (Opcode.SHL, Opcode.SHR):
             modulus = max(1, result_type.width)
+            amount = operands[1]
+            if isinstance(amount, Constant):
+                shift = str(amount.value % modulus)
+            else:
+                shift = f"(({b}) % {modulus})"
             if opcode is Opcode.SHL:
-                return wrap(f"({a}) << (({b}) % {modulus})")
+                return wrap(f"({a}) << {shift}")
             if types[0].signed:
-                return wrap(f"({a}) >> (({b}) % {modulus})")
+                return wrap(f"({a}) >> {shift}")
             mask0 = (1 << types[0].width) - 1
-            return wrap(f"(({a}) & {mask0}) >> (({b}) % {modulus})")
+            return wrap(f"(({a}) & {mask0}) >> {shift}")
         if opcode in _CMP_OPS:
             true_value = wrap_fn(result_type)(1)
             false_value = wrap_fn(result_type)(0)
             return f"({true_value} if ({a}) {_CMP_OPS[opcode]} ({b}) else {false_value})"
         if opcode is Opcode.MOV:
-            return wrap(a)
+            return self.fitted(operands[0], result_type)
         if opcode in (Opcode.DIV, Opcode.REM):
             # Division totality (the |0 quotient, sign conventions) is
             # easier to keep bit-identical by calling arith_fn's closure
@@ -198,13 +253,24 @@ class _Emitter:
             return f"{helper}({a}, {b})"
         raise SimulationError(f"cannot evaluate opcode {opcode}")
 
-    def _index(self, mem_idx: int, index: str) -> str:
-        """A memory index reduced modulo the (baked-in) memory size."""
+    def _index(
+        self, mem_idx: int, index: Value, expression: Optional[str] = None
+    ) -> str:
+        """A memory index reduced modulo the (baked-in) memory size.
+
+        A literal index is reduced here, at generation time; any other
+        is read (or taken from ``expression``, a temporary holding it)
+        and reduced at run time.
+        """
         self.mems.add(mem_idx)
         size = self.plan.layout.memory_sizes[mem_idx]
+        if size and isinstance(index, Constant):
+            return str(index.value % size)
+        if expression is None:
+            expression = self.operand(index)
         if size & (size - 1) == 0:
-            return f"({index}) & {size - 1}"  # == % size for every int
-        return f"({index}) % {size}"
+            return f"({expression}) & {size - 1}"  # == % size for every int
+        return f"({expression}) % {size}"
 
     def _zero_guard(self, mem_idx: int, array_name: str) -> list[str]:
         if self.plan.layout.memory_sizes[mem_idx]:
@@ -279,11 +345,10 @@ class _Emitter:
                 assert array_name is not None and result is not None
                 mem_idx = plan.layout.mem_slots[array_name]
                 reads.extend(self._zero_guard(mem_idx, array_name))
-                index = self._index(mem_idx, self.operand(operands[0]))
-                raw = f"_a{mem_idx}[{index}]"
+                raw = f"_a{mem_idx}[{self._index(mem_idx, operands[0])}]"
+                element_type = plan.design.func.arrays[array_name].element_type
                 rom = plan.design.obfuscated_roms.get(array_name)
                 if rom is not None:
-                    element_type = plan.design.func.arrays[array_name].element_type
                     element_mask = (1 << element_type.width) - 1
                     mask_ref = plan.key_ref(
                         ("rom", array_name),
@@ -292,25 +357,33 @@ class _Emitter:
                     raw = _wrap_expr(
                         f"({raw} & {element_mask}) ^ {mask_ref}", element_type
                     )
+                # Memories hold values wrapped to their element type
+                # (ROM words once decoded), so the load needs no wrap
+                # when that range lies within the result's.
                 assert isinstance(result.type, IntType)
-                commit_result(
-                    position, self._slot(result), _wrap_expr(raw, result.type)
-                )
+                if not _within(element_type, result.type):
+                    raw = _wrap_expr(raw, result.type)
+                commit_result(position, self._slot(result), raw)
                 continue
             if opcode is Opcode.STORE:
                 assert array_name is not None
                 mem_idx = plan.layout.mem_slots[array_name]
                 element_type = plan.design.func.arrays[array_name].element_type
-                index_temp = self.temp("_ti")
-                value_temp = self.temp("_tv")
-                reads.append(f"{index_temp} = {self.operand(operands[0])}")
-                reads.append(
-                    f"{value_temp} = "
-                    f"{_wrap_expr(self.operand(operands[1]), element_type)}"
-                )
+                # The commit runs after the read phase, so a register
+                # operand is read into a temporary; a literal is not.
+                index, value = operands[0], operands[1]
+                index_temp = None
+                if not isinstance(index, Constant):
+                    index_temp = self.temp("_ti")
+                    reads.append(f"{index_temp} = {self.operand(index)}")
+                stored = self.fitted(value, element_type)
+                if not isinstance(value, Constant):
+                    value_temp = self.temp("_tv")
+                    reads.append(f"{value_temp} = {stored}")
+                    stored = value_temp
                 mem_commits.extend(self._zero_guard(mem_idx, array_name))
                 mem_commits.append(
-                    f"_a{mem_idx}[{self._index(mem_idx, index_temp)}] = {value_temp}"
+                    f"_a{mem_idx}[{self._index(mem_idx, index, index_temp)}] = {stored}"
                 )
                 continue
             # Datapath op or MOV.
@@ -350,7 +423,9 @@ class CodegenDesign:
         #: Op-list renderings performed (the render-once regression
         #: test bounds this by states x selectors).
         self.body_renders = 0
-        self._variant_states: dict[int, tuple[str, dict[int, list]]] = {}
+        self._variant_states: dict[
+            int, tuple[Callable[[int], int], dict[int, list]]
+        ] = {}
         for variants, tables in layout.variant_tables:
             valid = frozenset(variants.variants)
 
@@ -361,9 +436,11 @@ class CodegenDesign:
                     raise KeyError(selector)
                 return selector
 
-            sel_ref = self.key_ref(("sel", variants.block_name), select)
+            # Binds the selector even where no state of the block
+            # dispatches on it, so every block validates its key slice.
+            self.key_ref(("sel", variants.block_name), select)
             for idx, per_selector in tables:
-                self._variant_states[idx] = (sel_ref, per_selector)
+                self._variant_states[idx] = (select, per_selector)
         self._cycles: dict[int, tuple[list, set[int]]] = {}
         # Generate, split and compile the chain functions.
         # Generated source of each chain function, keyed by its head,
@@ -562,6 +639,21 @@ class CodegenDesign:
         self._cycles[state_idx] = (result, emitter.mems)
         return result, emitter.mems
 
+    def _arm_ref(self, state_idx: int, groups: list) -> str:
+        """The ``K[...]`` read of a variant state's arm index: the
+        position in ``groups`` of the group holding the lane's
+        selector."""
+        select = self._variant_states[state_idx][0]
+        arm_of = {
+            selector: arm
+            for arm, (selectors, _, _) in enumerate(groups)
+            for selector in selectors
+        }
+        return self.key_ref(
+            ("arm", state_idx),
+            lambda key, select=select, arm_of=arm_of: arm_of[select(key)],
+        )
+
     def _condition(self, spec: tuple) -> str:
         _, condition, key_bit, _, _ = spec
         test = f"({_Emitter(self).operand(condition)}) & 1"
@@ -616,19 +708,17 @@ class CodegenDesign:
                 _, group_lines, ret_temp = groups[0]
                 body += group_lines + tail(ret_temp)
                 continue
-            # Selector dispatch.  The tail is rendered once after the
-            # dispatch when no arm returns, and once per group otherwise.
+            # Arm dispatch on the lane's arm index for this state.  The
+            # tail is rendered once after the dispatch when no arm
+            # returns, and once per group otherwise.
             shared_tail = all(ret_temp is None for _, _, ret_temp in groups)
-            sel_ref = self._variant_states[state_idx][0]
-            for index, (selectors, group_lines, ret_temp) in enumerate(groups):
-                keyword = "elif" if index else "if"
+            arm_ref = self._arm_ref(state_idx, groups)
+            for index, (_, group_lines, ret_temp) in enumerate(groups):
                 if index + 1 == len(groups):
                     body.append("else:")
-                elif len(selectors) == 1:
-                    body.append(f"{keyword} {sel_ref} == {selectors[0]}:")
                 else:
-                    members = ", ".join(str(s) for s in selectors)
-                    body.append(f"{keyword} {sel_ref} in ({members},):")
+                    keyword = "elif" if index else "if"
+                    body.append(f"{keyword} {arm_ref} == {index}:")
                 arm = group_lines if shared_tail else group_lines + tail(ret_temp)
                 body += _indent(arm or ["pass"])
             if shared_tail:
@@ -651,8 +741,12 @@ class CodegenDesign:
         Cheap — O(lanes × key-dependent quantities), independent of
         cycle count — and memoized on the last bound batch.  Lane ``i``
         of the subsequent :meth:`run_batch` simulates
-        ``working_keys[i]``.  An out-of-table variant selector in any
-        lane raises ``KeyError`` and leaves the previous binding intact.
+        ``working_keys[i]``.  Each DFG-variant state gets the lane's arm
+        index, computed through its block's selector function, so the
+        generated dispatch never looks at the selector itself.  An
+        out-of-table variant selector in any lane — in any obfuscated
+        block, dispatching or not — raises ``KeyError`` and leaves the
+        previous binding intact.
         """
         keys = tuple(working_keys)
         if keys == self._bound_keys:

@@ -55,10 +55,12 @@ class ReplicationKeyManager:
         return math.ceil(self.working_key_bits / self.locking_key_width)
 
     def derive_working_key(self, locking_key: LockingKey) -> int:
+        """Bit ``i`` of the working key is locking-key bit ``i mod K``:
+        the K-bit key tiled ``ceil(W/K)`` times, cut to W bits."""
         working = 0
-        for i in range(self.working_key_bits):
-            working |= locking_key.bit(i) << i
-        return working
+        for offset in range(0, self.working_key_bits, locking_key.width):
+            working |= locking_key.bits << offset
+        return working & ((1 << self.working_key_bits) - 1)
 
     def install(self, correct_working_key: int) -> LockingKey:
         """Design-time: choose the locking key that yields ``correct_working_key``.

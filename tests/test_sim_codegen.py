@@ -3,16 +3,21 @@
 Covers what the three-way differential suite in test_sim_compiled.py
 does not: batch semantics.  Mixed-fate lane batches (correct /
 wrong-corrupting / timeout keys retiring at different cycles in one
-run_batch call), batch-vs-scalar identity, the bind_keys lifecycle
+run_batch call), batch-vs-scalar identity, small kernels at the
+overflow edges of the generated wraps, literal indices and shift
+amounts (interpreter vs generated code), the bind_keys lifecycle
 (memoization, out-of-table selector KeyError parity with the compiled
 engine, no poisoned memo after a failed bind), the codegen plan cache,
 the default-engine choice, the build bounds (generated source size,
-render-once memo, compile-unit size cap), generated-source
-introspection, and the key_batches chunking contract the campaign
-runtime feeds the batched trial path with.
+render-once memo, compile-unit size cap, no run-time work that is
+known at generation), generated-source introspection, and the
+key_batches chunking contract the campaign runtime feeds the batched
+trial path with.
 """
 
 import functools
+import random
+import re
 
 import pytest
 
@@ -152,6 +157,188 @@ class TestMixedFateBatch:
         ) == []
 
 
+#: Small kernels at the overflow edges of the generated wraps (where a
+#: wrap is dropped, where it takes the in-range fast path and where it
+#: falls back to the full fold) and of the indices and shift amounts
+#: reduced at generation time.  ``name: (source, top, args, arrays)``.
+EDGE_KERNELS = {
+    "signed_overflow": (
+        """
+int signed_overflow(int x, int y) {
+  int s = 0;
+  int m = y;
+  for (int i = 0; i < 6; i++) {
+    s = s + x + 2147483647;
+    m = m * 65537 + i;
+  }
+  return s ^ m;
+}""",
+        "signed_overflow",
+        [2147483647, 123457],
+        {},
+    ),
+    "unsigned_wrap": (
+        """
+unsigned unsigned_wrap(unsigned x, unsigned out[4]) {
+  unsigned a = x - 1;
+  for (int i = 0; i < 4; i++) {
+    out[i] = a + i * 2;
+    a = a * 3;
+  }
+  return a + 4294967295;
+}""",
+        "unsigned_wrap",
+        [0],
+        {"out": [0] * 4},
+    ),
+    "narrow_stores": (
+        """
+void narrow_stores(int x, char c[4], short s[4], unsigned char u[4]) {
+  for (int i = 0; i < 4; i++) {
+    c[i] = x * (i + 1);
+    s[i] = x * 1000 * (i + 1);
+    u[i] = x - 200 * i;
+  }
+}""",
+        "narrow_stores",
+        [100],
+        {"c": [0] * 4, "s": [0] * 4, "u": [0] * 4},
+    ),
+    "widening_loads": (
+        """
+int widening_loads(char c[4], short s[4], unsigned short u[4]) {
+  int t = 0;
+  for (int i = 0; i < 4; i++) {
+    t = t + c[i] * s[i] + u[i];
+  }
+  return t;
+}""",
+        "widening_loads",
+        [],
+        {
+            "c": [-128, 127, 300, -1],
+            "s": [-32768, 32767, 70000, -5],
+            "u": [65535, -1, 70000, 3],
+        },
+    ),
+    "shifts": (
+        """
+int shifts(int x, int n, unsigned u, int out[6]) {
+  out[0] = x << n;
+  out[1] = x >> n;
+  out[2] = x << 33;
+  out[3] = (0 - x) >> 3;
+  out[4] = u >> n;
+  out[5] = (0 - x) >> 40;
+  return (x << 31) + (u << 32);
+}""",
+        "shifts",
+        [-12345, 35, 4000000000],
+        {"out": [0] * 6},
+    ),
+    "literal_indices": (
+        """
+int literal_indices(int x, int out[6]) {
+  out[7] = x;
+  out[0 - 1] = x + 1;
+  return out[13] + out[0 - 8] + out[2];
+}""",
+        "literal_indices",
+        [5],
+        {"out": [1, 2, 3, 4, 5, 6]},
+    ),
+    "mixed_type_movs": (
+        """
+int mixed_type_movs(int x) {
+  short s = x;
+  char c = s;
+  unsigned char uc = x;
+  unsigned short us = c;
+  int r = s + c;
+  short t = r;
+  unsigned v = t;
+  char d = v;
+  return r + uc + us + t + d + (int)v;
+}""",
+        "mixed_type_movs",
+        [70200],
+        {},
+    ),
+    "rom_loads": (
+        """
+int rom_loads(int x) {
+  short rom[5] = {-3, 300, -32768, 32767, 7};
+  char small[4] = {-128, 127, -1, 5};
+  int s = 0;
+  for (int i = 0; i < 5; i++) {
+    s = s + rom[i] * x + small[i & 3];
+  }
+  return s;
+}""",
+        "rom_loads",
+        [3],
+        {},
+    ),
+}
+
+EDGE_CASES = [
+    (name, preset) for name in EDGE_KERNELS for preset in ("full", "dfg")
+] + [("rom_loads", "full-rom")]
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_component(name: str, preset: str):
+    source, top, _, _ = EDGE_KERNELS[name]
+    return TaoFlow(pipeline=preset).obfuscate(source, top)
+
+
+class TestWrapEdgeDifferential:
+    """Interpreter vs generated code, field by field, on kernels that
+    overflow signed and unsigned arithmetic, narrow and widen through
+    memories and shared registers, shift out of range and read
+    obfuscated ROMs."""
+
+    @pytest.mark.parametrize("name, preset", EDGE_CASES)
+    def test_correct_corrupting_and_timeout_keys(self, name, preset):
+        _, _, args, arrays = EDGE_KERNELS[name]
+        component = _edge_component(name, preset)
+        design = component.design
+        if preset == "full-rom":
+            assert set(design.obfuscated_roms) == {"rom", "small"}
+        correct = component.correct_working_key
+        width = component.working_key_bits
+
+        def interp(key, budget):
+            return FsmdSimulator(design, max_cycles=budget).run(
+                args, dict(arrays), key
+            )
+
+        base = interp(correct, 10_000)
+        assert base.completed
+        rng = random.Random(width)
+        keys = [correct]
+        keys += [correct ^ (1 << bit) for bit in range(width)]
+        keys += [rng.getrandbits(width) for _ in range(16)]
+        plan = codegen_for(design)
+        fates = set()
+        # At the campaign cap wrong keys complete (correct or corrupted)
+        # or spin; at half the correct latency every slow lane times out.
+        for budget in (8 * base.cycles, base.cycles // 2):
+            batch = plan.run_batch(args, dict(arrays), keys, budget)
+            for key, lane in zip(keys, batch):
+                assert result_fields(lane) == result_fields(interp(key, budget))
+                if not lane.completed:
+                    fates.add("timeout")
+                elif (lane.return_value, lane.arrays) == (
+                    base.return_value,
+                    base.arrays,
+                ):
+                    fates.add("correct")
+                else:
+                    fates.add("corrupting")
+        assert fates == {"correct", "corrupting", "timeout"}
+
+
 class TestRunKeyTrialsBatch:
     def test_batched_trials_match_scalar_trials(self):
         component, workload = _obfuscated("gsm", "full")
@@ -265,17 +452,25 @@ class TestGeneratedSource:
         assert any(source in unit for unit in plan.unit_sources)
 
 
-#: Generated source per kernel (``full`` preset), in characters.  The
-#: emitter renders each state body once, so the source grows linearly
-#: with the design; the per-state rendering it replaced emitted 1.1 MB
-#: for backprop.
+#: Generated source per kernel (``full`` preset), in characters: the
+#: measured size plus about 15% headroom, so build cost cannot quietly
+#: grow back.  The emitter renders each state body once, so the source
+#: grows linearly with the design; the per-state rendering it replaced
+#: emitted 1.1 MB for backprop.
 SOURCE_BOUNDS = {
-    "sobel": 60_000,
-    "viterbi": 100_000,
-    "backprop": 120_000,
-    "gsm": 60_000,
-    "adpcm": 75_000,
+    "sobel": 41_000,
+    "viterbi": 57_000,
+    "backprop": 84_000,
+    "gsm": 42_000,
+    "adpcm": 49_000,
 }
+
+#: Variant dispatch by selector-tuple membership (``K[3] in (0, 5,)``);
+#: the emitter compares a per-lane arm index instead.
+_TUPLE_DISPATCH = re.compile(r"K\[\d+\] in \(")
+#: A ``%`` applied to a literal (``(0) % 12``); the emitter reduces
+#: literal indices and shift amounts when it generates the code.
+_LITERAL_MOD = re.compile(r"(?<![\w\]])\(?-?\d+\)? %")
 
 
 class TestBuildBounds:
@@ -295,6 +490,16 @@ class TestBuildBounds:
             if line.strip().startswith("# state ")
         ]
         assert sorted(emitted) == sorted(plan.layout.state_names)
+
+    @pytest.mark.parametrize("preset", ("full", "dfg"))
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_no_run_time_work_known_at_generation(self, bench_name, preset):
+        """No unit re-tests a selector tuple or reduces a literal."""
+        component, _ = _obfuscated(bench_name, preset)
+        plan = CodegenDesign(component.design)
+        for unit in plan.unit_sources:
+            assert not _TUPLE_DISPATCH.search(unit)
+            assert not _LITERAL_MOD.search(unit)
 
     @pytest.mark.parametrize("preset", ("full", "full-rom"))
     @pytest.mark.parametrize("bench_name", benchmark_names())

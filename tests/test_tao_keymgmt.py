@@ -27,6 +27,20 @@ class TestReplication:
         for i in range(10):
             assert (working >> i) & 1 == key.bit(i % 4)
 
+    @pytest.mark.parametrize("k", (1, 8, 128, 256))
+    @pytest.mark.parametrize("w", (0, 1, "K-1", "K", "K+1", 1160, 4625))
+    def test_derive_matches_bit_by_bit_definition(self, w, k):
+        """The tiled closed form equals bit i = locking bit (i mod K)."""
+        w = {"K-1": k - 1, "K": k, "K+1": k + 1}.get(w, w)
+        rng = random.Random(w * 1000 + k)
+        manager = ReplicationKeyManager(w, locking_key_width=k)
+        for bits in (0, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(4))):
+            key = LockingKey(bits=bits, width=k)
+            expected = 0
+            for i in range(w):
+                expected |= key.bit(i) << i
+            assert manager.derive_working_key(key) == expected
+
     def test_install_consistency(self):
         rng = random.Random(0)
         key = LockingKey.random(rng)
