@@ -49,6 +49,14 @@ class BlockVariants:
     key; ``correct_value`` is the slice value under the correct key.
     ``variants`` maps each selector value to the op list to execute;
     the entry at ``correct_value`` reproduces the baseline block.
+
+    Selectors that share a decoy share one list *object* (all selectors
+    at one Hamming distance, under the default ``"distance"``
+    diversity); each distinct list is an *arm*.  Consumers that derive
+    something from a list — datapath sources, timing paths, generated
+    code — iterate :meth:`arms` and do that work once per arm.  The
+    lists are never mutated after :mod:`repro.tao.dfg_variants` builds
+    them, so sharing them is safe.
     """
 
     block_name: str
@@ -63,6 +71,18 @@ class BlockVariants:
 
     def select(self, working_key: int) -> list[VariantOp]:
         return self.variants[self.selector(working_key)]
+
+    def arms(self) -> list[tuple[tuple[int, ...], list[VariantOp]]]:
+        """``[(selectors, ops)]``, one entry per distinct op list.
+
+        Selectors are grouped by list identity, in ascending selector
+        order; arms are ordered by their smallest selector.
+        """
+        grouped: dict[int, tuple[list[int], list[VariantOp]]] = {}
+        for selector in sorted(self.variants):
+            ops = self.variants[selector]
+            grouped.setdefault(id(ops), ([], ops))[0].append(selector)
+        return [(tuple(selectors), ops) for selectors, ops in grouped.values()]
 
 
 @dataclass
@@ -146,7 +166,7 @@ class FsmdDesign:
                     add(fu, port, operand)
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for _, ops in variants.arms():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     if base_inst is None:
@@ -182,7 +202,7 @@ class FsmdDesign:
                     add(inst.result, f"mem:{inst.array.name}")
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for _, ops in variants.arms():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     fu = self.binding.fu_for(base_inst) if base_inst else None
@@ -206,7 +226,7 @@ class FsmdDesign:
                             self._source_id(operand)
                         )
         for variants in self.block_variants.values():
-            for ops in variants.variants.values():
+            for _, ops in variants.arms():
                 for op in ops:
                     if op.opcode in (Opcode.LOAD, Opcode.STORE) and op.array_name:
                         for operand in op.operands:
@@ -222,7 +242,7 @@ class FsmdDesign:
         }
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for _, ops in variants.arms():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     if base_inst is None:

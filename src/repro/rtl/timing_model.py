@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hls.design import FsmdDesign
+from repro.hls.design import FsmdDesign, VariantOp
 from repro.hls.resources import (
     FSM_LOGIC_NS,
     REGISTER_OVERHEAD_NS,
@@ -72,13 +72,17 @@ def estimate_timing(design: FsmdDesign) -> TimingReport:
     for block_name, block_schedule in design.schedule.blocks.items():
         variants = design.block_variants.get(block_name)
         op_lists: list[list] = [list(block_schedule.block.instructions)]
+        baseline: list[Instruction] = []
         if variants is not None:
-            op_lists.extend(variants.variants.values())
+            baseline = design.func.blocks[variants.block_name].instructions
+            # Selectors sharing an arm share its paths: walk each once.
+            op_lists.extend(ops for _, ops in variants.arms())
         for ops in op_lists:
             for op in ops:
                 path, description = _op_path_delay(
                     design,
                     op,
+                    baseline,
                     fu_input_count,
                     register_input_count,
                     merged_optypes,
@@ -109,30 +113,24 @@ def estimate_timing(design: FsmdDesign) -> TimingReport:
 def _op_path_delay(
     design: FsmdDesign,
     op,
+    baseline: list[Instruction],
     fu_input_count: dict[str, int],
     register_input_count: dict[str, int],
     merged_optypes,
 ) -> tuple[float, str]:
-    """Register-to-register delay of one scheduled operation."""
-    from repro.hls.design import VariantOp
+    """Register-to-register delay of one scheduled operation.
 
+    ``baseline`` is the instruction list of the op's block; a DFG
+    variant op is bound to the FU of the baseline instruction it
+    shadows.
+    """
+    opcode = op.opcode
+    result = op.result
+    operands = op.operands
     if isinstance(op, Instruction):
-        opcode = op.opcode
-        result = op.result
-        operands = op.operands
         bound_inst = op
     else:
         assert isinstance(op, VariantOp)
-        opcode = op.opcode
-        result = op.result
-        operands = op.operands
-        baseline = design.func.blocks[
-            next(
-                name
-                for name, variant in design.block_variants.items()
-                if any(op in ops for ops in variant.variants.values())
-            )
-        ].instructions
         bound_inst = baseline[op.slot] if op.slot < len(baseline) else None
 
     if opcode in (Opcode.JUMP, Opcode.RET):

@@ -63,7 +63,6 @@ pools.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -600,32 +599,33 @@ class GoldenCache:
 class FrontEndCache:
     """Memoizes front-end compilation keyed on the source text hash.
 
-    Stores the pristine optimized module and returns a deep copy per
-    lookup: the TAO obfuscation passes mutate the IR in place, so the
-    master must never escape.  The requested module name is applied to
-    the copy, letting baseline and obfuscated compilations of the same
-    source share one entry.
+    Stores the pristine optimized module as its pickle and returns a
+    fresh unpickled module per lookup: the TAO obfuscation passes
+    mutate the IR in place, so the master must never escape, and
+    unpickling is several times cheaper than a deep copy.  The
+    requested module name is applied to the copy, letting baseline and
+    obfuscated compilations of the same source share one entry.
 
-    With a :class:`DiskCacheBackend` attached, masters also persist as
-    pickles under the ``frontend`` namespace, so every process of a
-    campaign (and every later run) parses and optimizes each source at
-    most once fleet-wide.  An unpicklable or corrupt disk entry reads
-    as a miss and is recompiled.
+    With a :class:`DiskCacheBackend` attached, the same pickles persist
+    under the ``frontend`` namespace (each master is serialized once),
+    so every process of a campaign (and every later run) parses and
+    optimizes each source at most once fleet-wide.  An unpicklable or
+    corrupt disk entry reads as a miss and is recompiled.
     """
 
     NAMESPACE = "frontend"
 
     def __init__(self, backend: Optional[DiskCacheBackend] = None) -> None:
-        self._modules: dict[str, "Module"] = {}
+        self._pickles: dict[str, bytes] = {}
         self.backend = backend
         self.stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._modules)
+        return len(self._pickles)
 
     def clear(self) -> None:
         """Drop the in-memory tier and counters (disk entries survive)."""
-        self._modules.clear()
+        self._pickles.clear()
         self.stats.reset()
 
     @staticmethod
@@ -640,42 +640,43 @@ class FrontEndCache:
     ) -> "Module":
         """Return a private copy of the optimized module for ``source``."""
         key = self.source_key(source)
-        master = self._modules.get(key)
-        if master is not None:
+        payload = self._pickles.get(key)
+        if payload is not None:
             self.stats.hits += 1
+            module = pickle.loads(payload)
         else:
-            master = self._load_from_backend(key)
-            if master is not None:
+            payload, module = self._load_from_backend(key)
+            if module is not None:
                 self.stats.l2_hits += 1
             else:
                 self.stats.misses += 1
-                master = compile_fn(source, name)
+                module = compile_fn(source, name)
+                payload = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
                 if self.backend is not None:
-                    stored = self.backend.store(
-                        self.NAMESPACE,
-                        key,
-                        pickle.dumps(master, protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                    if stored is None:
+                    if self.backend.store(self.NAMESPACE, key, payload) is None:
                         self.stats.store_failures += 1
-            self._modules[key] = master
-        module = copy.deepcopy(master)
+            self._pickles[key] = payload
         module.name = name
         return module
 
-    def _load_from_backend(self, key: str) -> Optional["Module"]:
+    def _load_from_backend(
+        self, key: str
+    ) -> tuple[Optional[bytes], Optional["Module"]]:
+        """``(payload, module)`` from the disk tier, or ``(None, None)``."""
         if self.backend is None:
-            return None
+            return None, None
         payload = self.backend.load(self.NAMESPACE, key)
         if payload is None:
-            return None
+            return None, None
         from repro.ir.function import Module
 
         try:
-            master = pickle.loads(payload)
+            module = pickle.loads(payload)
         except Exception:
-            return None  # stale pickle format etc.: recompile
-        return master if isinstance(master, Module) else None
+            return None, None  # stale pickle format etc.: recompile
+        if not isinstance(module, Module):
+            return None, None
+        return payload, module
 
 
 #: Per-process singletons; campaign workers each warm their own L1 but

@@ -81,7 +81,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from repro.hls.design import FsmdDesign
 from repro.ir.instructions import Opcode
-from repro.ir.types import IntType
+from repro.ir.types import BOOL, IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
 from repro.sim.fsmd_sim import (
     SimulationError,
@@ -613,18 +613,21 @@ class CodegenDesign:
             if variant is None
             else variant[1]
         )
-        # Selectors whose arms hold the same operations render once;
-        # arms whose operations differ but render to the same text
-        # (a dead write, say) merge afterwards.
-        same_ops: dict[tuple, list[int]] = {}
+        # Selectors sharing an op list (one arm) are keyed once; arms
+        # whose operations at this cycle are equal render once; arms
+        # whose operations differ but render to the same text (a dead
+        # write, say) merge afterwards.
+        arms: dict[int, tuple[list, list[int]]] = {}
         for selector in sorted(per_selector):
-            ops = tuple(
+            ops = per_selector[selector]
+            arms.setdefault(id(ops), (ops, []))[1].append(selector)
+        same_ops: dict[tuple, list[int]] = {}
+        for ops, selectors in arms.values():
+            fields = tuple(
                 (opcode, result, tuple(operands), array_name)
-                for opcode, result, operands, array_name in map(
-                    op_fields, per_selector[selector]
-                )
+                for opcode, result, operands, array_name in map(op_fields, ops)
             )
-            same_ops.setdefault(ops, []).append(selector)
+            same_ops.setdefault(fields, []).extend(selectors)
         groups: dict[tuple, list[int]] = {}
         for selectors in same_ops.values():
             self.body_renders += 1
@@ -656,7 +659,10 @@ class CodegenDesign:
 
     def _condition(self, spec: tuple) -> str:
         _, condition, key_bit, _, _ = spec
-        test = f"({_Emitter(self).operand(condition)}) & 1"
+        test = _Emitter(self).operand(condition)
+        # A read is in range for its own type: a u1 condition is 0 or 1.
+        if not (isinstance(condition.type, IntType) and _within(condition.type, BOOL)):
+            test = f"({test}) & 1"
         if key_bit is not None:
             bit_ref = self.key_ref(("kb", key_bit), lambda key, b=key_bit: (key >> b) & 1)
             test = f"({test}) ^ {bit_ref}"

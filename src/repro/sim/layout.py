@@ -168,7 +168,9 @@ class DesignLayout:
     * ``state_op_lists`` — per state, the cstep-filtered baseline op
       list, or ``None`` for states of variant-obfuscated blocks;
     * ``variant_tables`` — per obfuscated block, ``(BlockVariants,
-      [(state_idx, {selector: cstep-filtered op list})])``.
+      [(state_idx, {selector: cstep-filtered op list})])``; the
+      selectors of one arm (:meth:`BlockVariants.arms`) share one
+      filtered list object.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
@@ -220,17 +222,23 @@ class DesignLayout:
                     block_schedule.instructions_at(state.step)
                 )
             self._lower_transition(state)
+        variant_states: dict[str, list[tuple[StateId, int]]] = {
+            name: [] for name in design.block_variants
+        }
+        for state, idx in self.idx_of.items():
+            if state.block in variant_states:
+                variant_states[state.block].append((state, idx))
         self.variant_tables: list[tuple] = []
         for block_name, variants in design.block_variants.items():
+            arms = variants.arms()
             tables: list[tuple[int, dict[int, list]]] = []
-            for state, idx in self.idx_of.items():
-                if state.block != block_name:
-                    continue
-                per_selector = {
-                    selector: [op for op in ops if op.cstep == state.step]
-                    for selector, ops in variants.variants.items()
-                }
-                tables.append((idx, per_selector))
+            for state, idx in variant_states[block_name]:
+                # Filtered once per arm; the arm's selectors share it.
+                per_selector: dict[int, list] = {}
+                for selectors, ops in arms:
+                    filtered = [op for op in ops if op.cstep == state.step]
+                    per_selector.update(dict.fromkeys(selectors, filtered))
+                tables.append((idx, dict(sorted(per_selector.items()))))
             self.variant_tables.append((variants, tables))
         entry = design.controller.entry_state
         assert entry is not None
@@ -259,7 +267,7 @@ class DesignLayout:
             for inst in block_schedule.block.instructions:
                 note(inst.result)
         for variants in design.block_variants.values():
-            for ops in variants.variants.values():
+            for _, ops in variants.arms():
                 for op in ops:
                     note(op.result)
         return written

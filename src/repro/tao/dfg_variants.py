@@ -22,6 +22,18 @@ area overhead comes from.
 Variants keep the baseline schedule length, so the correct key incurs
 no latency change, while wrong keys execute "credible" but incorrect
 data flows — exactly the behaviour §4.3 validates.
+
+**Arms.**  The transformation is seeded by a *salt*: the Hamming
+distance under ``diversity="distance"`` (the default), the selector
+itself under ``"selector"``.  Selectors with the same salt get the same
+decoy, so :func:`create_dfg_variants` builds one op list per salt — the
+baseline for the correct value plus at most ``key_bits`` decoys under
+``"distance"``, ``2**key_bits - 1`` under ``"selector"`` — and stores
+that one list object under every selector of the salt.  These shared
+lists are the block's *arms* (:meth:`BlockVariants.arms`); downstream
+consumers do their per-variant work once per arm.  This module is the
+only writer of a :class:`VariantOp`'s fields: once built, variant op
+lists are never mutated, which is what makes the sharing safe.
 """
 
 from __future__ import annotations
@@ -191,14 +203,19 @@ def create_dfg_variants(
     # Stable across processes (str hash is salted per interpreter run,
     # which would make the generated hardware non-reproducible).
     block_hash = zlib.crc32(block.name.encode()) & 0xFFFF
+    # One op list per salt: every selector sharing a salt (all of one
+    # distance, under "distance") is given the same list object.
+    by_salt: dict[Optional[int], list[VariantOp]] = {
+        None: _baseline_variant_ops(block, cstep_of)
+    }
     for selector in range(1 << key_bits):
-        ops = _baseline_variant_ops(block, cstep_of)
+        salt: Optional[int] = None
         if selector != correct_value:
             distance = hamming_distance(selector, correct_value)
-            if diversity == "selector":
-                salt = selector
-            else:
-                salt = distance
+            salt = selector if diversity == "selector" else distance
+        ops = by_salt.get(salt)
+        if ops is None:
+            ops = by_salt[salt] = _baseline_variant_ops(block, cstep_of)
             rng = random.Random((seed << 20) ^ (salt << 8) ^ block_hash)
             _swap_operation_types(ops, distance, rng)
             _rearrange_dependences(ops, distance, rng)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.frontend import compile_c
 from repro.runtime.cache import (
     FRONTEND_CACHE,
     GOLDEN_CACHE,
+    FrontEndCache,
     GoldenCache,
     absorb_stats,
     cache_stats,
@@ -243,6 +245,28 @@ class TestFrontEndCache:
         assert module_a.name == "a" and module_b.name == "b"
         module_a.functions.clear()
         assert module_b.functions  # master and sibling copy untouched
+
+    def test_hits_return_independent_copies(self):
+        cache = FrontEndCache()
+        compiled = []
+
+        def compile_fn(source, name):
+            compiled.append(name)
+            return compile_c(source, name)
+
+        first = cache.get_or_compile(SOURCE, "first", compile_fn)
+        pristine = str(first.function("kernel"))
+        first.function("kernel").blocks.clear()  # the miss's own module
+        hit_a = cache.get_or_compile(SOURCE, "hit_a", compile_fn)
+        assert str(hit_a.function("kernel")) == pristine
+        next(iter(hit_a.function("kernel").blocks.values())).instructions.clear()
+        hit_a.functions.clear()
+        hit_b = cache.get_or_compile(SOURCE, "hit_b", compile_fn)
+        assert compiled == ["first"]
+        assert (cache.stats.misses, cache.stats.hits) == (1, 2)
+        assert (first.name, hit_a.name, hit_b.name) == ("first", "hit_a", "hit_b")
+        assert hit_b is not hit_a
+        assert str(hit_b.function("kernel")) == pristine
 
     def test_baseline_equals_uncached_baseline(self):
         flow = TaoFlow()

@@ -30,7 +30,7 @@ from repro.sim.codegen import _CODEGEN_CACHE, UNIT_SOURCE_CAP, CodegenDesign
 from repro.sim.engine import ENGINE_ENV
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
-from repro.tao.key import LockingKey
+from repro.tao.key import LockingKey, ObfuscationParameters
 from repro.tao.metrics import (
     KEY_BATCH_LANES,
     resolve_key_batch_lanes,
@@ -339,6 +339,56 @@ class TestWrapEdgeDifferential:
         assert fates == {"correct", "corrupting", "timeout"}
 
 
+class TestSelectorDiversityDifferential:
+    """Interpreter vs generated code under ``diversity="selector"``,
+    where every selector is an arm of its own."""
+
+    def test_every_block_takes_a_wrong_arm(self):
+        bench = get_benchmark("viterbi")
+        component = TaoFlow(
+            params=ObfuscationParameters(variant_diversity="selector"),
+            pipeline="dfg",
+        ).obfuscate(bench.source, bench.top)
+        design = component.design
+        workload = bench.make_testbenches(seed=11, count=1)[0]
+        correct = component.correct_working_key
+        for variants in design.block_variants.values():
+            assert len(variants.arms()) == 1 << variants.key_bits
+
+        def interp(key, budget):
+            return FsmdSimulator(design, max_cycles=budget).run(
+                workload.args, dict(workload.arrays), key
+            )
+
+        base = interp(correct, 200_000)
+        assert base.completed
+        # One key per block, steering it into a wrong arm (a different
+        # one per block), plus random keys that miss in every block.
+        keys = [correct]
+        for index, variants in enumerate(design.block_variants.values()):
+            span = 1 << variants.key_bits
+            wrong = (variants.correct_value + 1 + index % (span - 1)) % span
+            slice_mask = (span - 1) << variants.key_offset
+            keys.append((correct & ~slice_mask) | (wrong << variants.key_offset))
+        rng = random.Random(13)
+        keys += [rng.getrandbits(component.working_key_bits) for _ in range(8)]
+        budget = 2 * base.cycles
+        batch = codegen_for(design).run_batch(
+            workload.args, dict(workload.arrays), keys, budget
+        )
+        fates = set()
+        for key, lane in zip(keys, batch):
+            assert result_fields(lane) == result_fields(interp(key, budget))
+            fates.add(
+                "timeout"
+                if not lane.completed
+                else "correct"
+                if (lane.return_value, lane.arrays) == (base.return_value, base.arrays)
+                else "corrupting"
+            )
+        assert fates == {"correct", "corrupting", "timeout"}
+
+
 class TestRunKeyTrialsBatch:
     def test_batched_trials_match_scalar_trials(self):
         component, workload = _obfuscated("gsm", "full")
@@ -471,6 +521,9 @@ _TUPLE_DISPATCH = re.compile(r"K\[\d+\] in \(")
 #: A ``%`` applied to a literal (``(0) % 12``); the emitter reduces
 #: literal indices and shift amounts when it generates the code.
 _LITERAL_MOD = re.compile(r"(?<![\w\]])\(?-?\d+\)? %")
+#: A ``u1`` branch condition masked to one bit before its key bit is
+#: applied; the read is already 0 or 1.
+_CONDITION_MASK = ") & 1) ^ K["
 
 
 class TestBuildBounds:
@@ -494,12 +547,14 @@ class TestBuildBounds:
     @pytest.mark.parametrize("preset", ("full", "dfg"))
     @pytest.mark.parametrize("bench_name", benchmark_names())
     def test_no_run_time_work_known_at_generation(self, bench_name, preset):
-        """No unit re-tests a selector tuple or reduces a literal."""
+        """No unit re-tests a selector tuple, reduces a literal or masks
+        a one-bit branch condition."""
         component, _ = _obfuscated(bench_name, preset)
         plan = CodegenDesign(component.design)
         for unit in plan.unit_sources:
             assert not _TUPLE_DISPATCH.search(unit)
             assert not _LITERAL_MOD.search(unit)
+            assert _CONDITION_MASK not in unit
 
     @pytest.mark.parametrize("preset", ("full", "full-rom"))
     @pytest.mark.parametrize("bench_name", benchmark_names())
@@ -512,12 +567,17 @@ class TestBuildBounds:
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
     def test_each_state_body_renders_once_per_selector(self, bench_name):
+        """At most one rendering per state and arm: selectors sharing a
+        decoy (one Hamming distance) share its rendering."""
         component, _ = _obfuscated(bench_name, "full")
         plan = CodegenDesign(component.design)
-        variants = dict(plan._variant_states)
+        block_variants = component.design.block_variants.values()
+        arms = {variants.block_name: len(variants.arms()) for variants in block_variants}
+        # Fewer arms than selectors, so the bound is tighter than per selector.
+        assert max(arms.values()) < min(1 << v.key_bits for v in block_variants)
         bound = sum(
-            len(variants[idx][1]) if idx in variants else 1
-            for idx in range(len(plan.layout.states))
+            arms[state.block] if idx in plan._variant_states else 1
+            for idx, state in enumerate(plan.layout.states)
         )
         assert 0 < plan.body_renders <= bound
 

@@ -1,7 +1,9 @@
 """Unit tests for the three TAO obfuscation passes: constants, branch
 masking and DFG variants."""
 
+import functools
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,17 @@ from repro.ir.values import Constant, ObfuscatedConstant
 from repro.sim import Testbench, run_testbench, simulate
 from repro.tao.branch_pass import mask_branches
 from repro.tao.constants_pass import obfuscate_constants
+from repro.benchsuite import benchmark_names, get_benchmark
 from repro.tao.dfg_variants import (
+    _baseline_variant_ops,
+    _rearrange_dependences,
+    _swap_operation_types,
     create_dfg_variants,
     hamming_distance,
     obfuscate_dfgs,
     variant_divergence,
 )
+from repro.tao.flow import TaoFlow
 from repro.tao.key import ObfuscationParameters, apportion_keys
 
 
@@ -239,3 +246,104 @@ class TestDfgVariants:
             block_schedule = design.schedule.blocks[variants.block_name]
             for ops in variants.variants.values():
                 assert all(0 <= op.cstep < block_schedule.n_steps for op in ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _variant_design(bench_name: str):
+    """A ``dfg``-obfuscated benchmark: its schedule and block slices."""
+    bench = get_benchmark(bench_name)
+    return TaoFlow(pipeline="dfg").obfuscate(bench.source, bench.top).design
+
+
+def _reference_variants(block, cstep_of, key_bits, correct_value, seed, diversity):
+    """Algorithm 1 written out per selector: a fresh op list for every
+    selector value, seeded by its salt."""
+    block_hash = zlib.crc32(block.name.encode()) & 0xFFFF
+    variants = {}
+    for selector in range(1 << key_bits):
+        ops = _baseline_variant_ops(block, cstep_of)
+        if selector != correct_value:
+            distance = hamming_distance(selector, correct_value)
+            salt = selector if diversity == "selector" else distance
+            rng = random.Random((seed << 20) ^ (salt << 8) ^ block_hash)
+            _swap_operation_types(ops, distance, rng)
+            _rearrange_dependences(ops, distance, rng)
+        variants[selector] = ops
+    return variants
+
+
+def _op_fields(op):
+    """Every VariantOp field; values by identity."""
+    return (
+        op.opcode,
+        id(op.result),
+        tuple(id(operand) for operand in op.operands),
+        op.cstep,
+        op.array_name,
+        op.slot,
+    )
+
+
+def _rebuilt(bench_name, diversity, seed=5):
+    """``[(BlockVariants, reference)]`` for every variant block of a
+    benchmark, rebuilt from its schedule under ``diversity``."""
+    design = _variant_design(bench_name)
+    rebuilt = []
+    for name, existing in design.block_variants.items():
+        block_schedule = design.schedule.blocks[name]
+        common = dict(
+            block=block_schedule.block,
+            cstep_of=block_schedule.cstep_of,
+            key_bits=existing.key_bits,
+            correct_value=existing.correct_value,
+            seed=seed,
+            diversity=diversity,
+        )
+        variants = create_dfg_variants(key_offset=existing.key_offset, **common)
+        rebuilt.append((variants, _reference_variants(**common)))
+    assert rebuilt, f"{bench_name} has no variant blocks"
+    return rebuilt
+
+
+class TestDfgArms:
+    """One op list per salt, shared by the selectors of that salt."""
+
+    @pytest.mark.parametrize("diversity", ("distance", "selector"))
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_matches_per_selector_reference(self, bench_name, diversity):
+        for variants, reference in _rebuilt(bench_name, diversity):
+            assert sorted(variants.variants) == sorted(reference)
+            for selector, ops in reference.items():
+                assert [_op_fields(op) for op in variants.variants[selector]] == [
+                    _op_fields(op) for op in ops
+                ]
+
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_equal_distance_selectors_share_one_list(self, bench_name):
+        for variants, _ in _rebuilt(bench_name, "distance"):
+            arms = variants.arms()
+            assert len(arms) <= variants.key_bits + 1
+            assert sorted(s for selectors, _ in arms for s in selectors) == list(
+                range(1 << variants.key_bits)
+            )
+            distances = set()
+            for selectors, ops in arms:
+                assert list(selectors) == sorted(selectors)
+                (distance,) = {
+                    hamming_distance(s, variants.correct_value) for s in selectors
+                }
+                distances.add(distance)
+                assert all(variants.variants[s] is ops for s in selectors)
+            assert len(distances) == len(arms)
+            assert [selectors[0] for selectors, _ in arms] == sorted(
+                selectors[0] for selectors, _ in arms
+            )
+
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    def test_selector_diversity_has_one_arm_per_selector(self, bench_name):
+        for variants, _ in _rebuilt(bench_name, "selector"):
+            arms = variants.arms()
+            assert len(arms) == 1 << variants.key_bits
+            assert [selectors for selectors, _ in arms] == [
+                (s,) for s in range(1 << variants.key_bits)
+            ]
